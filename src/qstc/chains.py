@@ -7,6 +7,10 @@ each ``A1`` by a single coupling.  A chain with ``n_cells`` cells has
 Hamiltonian is a real symmetric hopping matrix with zero diagonal and at most
 three nonzeros per row.
 
+The graph is bipartite with the A1 qubits, the two corners among them, on one
+side; :func:`jacobi_matrix` is H^2 restricted to them, the tridiagonal matrix
+that carries corner-to-corner transfer.
+
 Two site numberings are supported: ``cell`` order (cell by cell, pendant after
 its backbone qubit) and ``symmetric`` order (corner pendants first, then the
 backbone left to right, then the interior pendants), which makes the mirror
@@ -21,13 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
-
-# Dense storage is used below this size; larger matrices stay in triplet form
-# until a consumer asks for them.
-DENSE_CUTOFF = 64
 
 # Site descriptor: (qubit type, 1-based cell index).
 Site = tuple
@@ -120,34 +119,18 @@ class SymmetricChainSpec:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """One-excitation Hamiltonian in sparse triplet form.
+    """Dense one-excitation Hamiltonian in its chain's numbering.
 
     ``corner_sites`` are the 0-based indices of the two extremal backbone
-    qubits (the sender and receiver of the transfer protocol) under the
-    matrix's numbering.
+    qubits (the sender and receiver of the transfer protocol) under that
+    numbering.
     """
 
-    size: int
-    rows: tuple
-    cols: tuple
-    vals: tuple
-    numbering: Numbering
+    matrix: np.ndarray
     corner_sites: tuple
 
-    def dense(self):
-        h = np.zeros((self.size, self.size))
-        h[np.asarray(self.rows), np.asarray(self.cols)] = self.vals
-        return h
-
-    def sparse(self):
-        return sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.size, self.size)
-        )
-
     def toarray(self):
-        if self.size < DENSE_CUTOFF:
-            return self.dense()
-        return self.sparse().toarray()
+        return self.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +228,30 @@ def corner_sites(spec):
 
 def build_hamiltonian(spec):
     """One-excitation Hamiltonian of a chain under its requested numbering."""
-    rows, cols, vals = [], [], []
+    h = np.zeros((spec.n, spec.n))
     for a, b, c in edges(spec):
         ia, ib = site_index(a, spec), site_index(b, spec)
-        rows += [ia, ib]
-        cols += [ib, ia]
-        vals += [c, c]
-    return HamiltonianMatrix(
-        size=spec.n,
-        rows=tuple(rows),
-        cols=tuple(cols),
-        vals=tuple(vals),
-        numbering=spec.numbering,
-        corner_sites=corner_sites(spec),
-    )
+        h[ia, ib] = h[ib, ia] = c
+    h.flags.writeable = False  # toarray() hands out this array itself
+    return HamiltonianMatrix(matrix=h, corner_sites=corner_sites(spec))
+
+
+def jacobi_matrix(spec):
+    """Tridiagonal matrix J = B B^T on the A1 sublattice, A1_1 first.
+
+    B is the block of H that couples the A1 qubits to the B and A2 qubits.
+    The chain graph is bipartite with the A1 qubits on one side, so H^2
+    restricted to them is J, with diagonal g_i^2 + t_i^2 + w_{i-1}^2 and
+    off-diagonal t_i w_i.  Both corners are A1 qubits (rows 0 and -1), hence
+    the corner amplitude is the (0, -1) element of cos(sqrt(J) t).
+    """
+    t = np.asarray(spec.t)
+    w = np.asarray(spec.w)
+    diag = np.asarray(spec.g) ** 2
+    diag[:-1] += t**2
+    diag[1:] += w**2
+    off = t * w
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def numbering_permutation(spec):
@@ -279,11 +272,6 @@ def backbone_sequence(spec):
     for ti, wi in zip(spec.t, spec.w):
         seq += [ti, wi]
     return tuple(seq)
-
-
-def pendant_sequence(spec):
-    """Pendant couplings left to right (alias for the g list)."""
-    return spec.g
 
 
 def is_mirror_symmetric(spec, rtol=0.0):

@@ -43,7 +43,8 @@ def _write_json(payload, path):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (summary_payload, output_paths)
+# subcommand implementations; each returns (summary_payload, output_paths) and
+# the manifest records the summary's "seed", if it has one
 # ---------------------------------------------------------------------------
 
 
@@ -219,7 +220,7 @@ def _cmd_optimize(args):
         print(f"sweep: {ok}/{len(results)} problems solved")
         for row in rows[1:]:
             print(" ", row)
-        return payload, outputs
+        return dict(payload, seed=seed), outputs
 
     k = int(config["k"])
     n = 3 * k + 5
@@ -245,7 +246,7 @@ def _cmd_optimize(args):
         outputs.append(args.out)
     print(f"best P = {result.best_p:.12g}  (-log10 infidelity {result.neg_log_infidelity:.3g}, "
           f"{result.evaluations} evaluations)")
-    return payload, outputs
+    return dict(payload, seed=seed), outputs
 
 
 def _cmd_glue(args):
@@ -416,9 +417,7 @@ def main(argv=None):
             manifest["inputs"]["threads"] = threads
         payload, outputs = args.func(args)
         manifest["outputs"] = outputs
-        if isinstance(payload, dict):
-            seed = payload.get("problem", {}).get("seed") if "problem" in payload else None
-            manifest["seed"] = seed if seed is not None else payload.get("seed")
+        manifest["seed"] = payload.get("seed")
         code = 0
     except Exception as exc:
         manifest["error"] = f"{type(exc).__name__}: {exc}"

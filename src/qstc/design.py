@@ -229,11 +229,11 @@ def dimerized_series(w, g):
         pref * (-2) * (w**4 + 1),
         pref * (-4) * w * w,
     ]
+    # for w, g > 0 the four frequencies are pairwise distinct
     order = np.argsort(freqs)
-    merged_f, merged_c = dynamics._merge_terms(
-        [freqs[i] for i in order], [coeffs[i] for i in order]
+    return dynamics.CosineSeries(
+        tuple(freqs[i] for i in order), tuple(coeffs[i] for i in order)
     )
-    return dynamics.CosineSeries(tuple(merged_f), tuple(merged_c))
 
 
 def dimerized_probability_exact(w, g, times):
@@ -309,7 +309,7 @@ def pgt_search(series, epsilon, t_max, chunk=65536):
         )
         candidates = [j for j in interior[is_peak] if 1.0 - prob[j] < epsilon + allowance]
         for h in candidates:
-            t_star, p_star = _refine(series, grid[h - 1], grid[h + 1])
+            t_star, p_star = dynamics.refine_peak(series, grid[h - 1], grid[h + 1], 1e-12)
             used += 64
             if p_star < prob[h]:
                 t_star, p_star = float(grid[h]), float(prob[h])
@@ -337,15 +337,3 @@ def pgt_search(series, epsilon, t_max, chunk=65536):
         scan_budget=used,
         frequencies=series.frequencies,
     )
-
-
-def _refine(series, lo, hi):
-    from scipy import optimize
-
-    res = optimize.minimize_scalar(
-        lambda t: -series.probability(t)[0],
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x), float(-res.fun)

@@ -1,10 +1,12 @@
 """Time evolution in the one-excitation subspace.
 
-Transfer probabilities are computed from the eigendecomposition: with the
-excitation starting on corner site A, the amplitude on corner site B is
-amp(t) = sum_j <B|j><j|A> exp(-i lambda_j t), and P(t) = |amp(t)|^2.  For
-mirror-symmetric chains the amplitude collapses to a real cosine series
-P(t) = (sum_j c_j cos(lambda_j t))^2, the representation used for
+The chain graph is bipartite and both corners are A1 qubits, so the odd
+part of exp(-iHt) never connects them: the corner-to-corner amplitude is the
+real cosine series amp(t) = sum_j c_j cos(f_j t), and P(t) = amp(t)^2, for
+every chain.  The frequencies f_j = sqrt(mu_j) and coefficients
+c_j = u_j[0] u_j[-1] come from the eigenpairs of the (n_cells+1)x(n_cells+1)
+tridiagonal Jacobi matrix J = H^2 restricted to the A1 qubits
+(:func:`chains.jacobi_matrix`).  The same series serves sampled traces,
 pretty-good-transfer arguments and peak searches.
 
 The averaged transmission fidelity is f = 1/2 + sqrt(P)/3 + P/6 with the
@@ -18,11 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from . import chains, spectral
-from .errors import UnsupportedInputError, ValidationError
-
-#: tolerance under which two frequencies count as degenerate and merge
-FREQ_MERGE_TOL = 1e-9
+from . import chains
+from .errors import ValidationError
 
 #: probability may exceed 1 by at most this much before it is an error
 PROB_SLACK = 1e-12
@@ -96,13 +95,7 @@ def transfer_probability(spec, times):
         raise ValidationError("times must be a non-empty 1-d array")
     if not np.all(np.isfinite(times)):
         raise ValidationError("times must be finite")
-    h = chains.build_hamiltonian(spec)
-    spect = spectral.decompose(h)
-    a, b = h.corner_sites
-    weights = spect.eigenvectors[b, :] * spect.eigenvectors[a, :]
-    phases = np.exp(-1j * np.outer(times, spect.eigenvalues))
-    amp = phases @ weights
-    return _trace_from_probability(times, np.abs(amp) ** 2)
+    return chain_series(spec).trace(times)
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ class CosineSeries:
     def __post_init__(self):
         if len(self.frequencies) != len(self.coefficients):
             raise ValidationError("frequencies and coefficients differ in length")
-        if any(f < -FREQ_MERGE_TOL for f in self.frequencies):
+        if any(f < 0 for f in self.frequencies):
             raise ValidationError("frequencies must be non-negative")
 
     @property
@@ -153,81 +146,29 @@ class CosineSeries:
         }
 
 
-def _merge_terms(freqs, coeffs, tol=FREQ_MERGE_TOL):
-    order = np.argsort(freqs)
-    out_f, out_c = [], []
-    for i in order:
-        if out_f and abs(freqs[i] - out_f[-1]) < tol:
-            out_c[-1] += coeffs[i]
-        else:
-            out_f.append(freqs[i])
-            out_c.append(coeffs[i])
-    kept = [(f, c) for f, c in zip(out_f, out_c) if abs(c) > 1e-12]
-    if not kept:
-        return [0.0], [0.0]
-    return [f for f, _ in kept], [c for _, c in kept]
-
-
-def closed_form_probability(spectrum, sender, receiver, tol=1e-9):
-    """Cosine-series representation of the transfer probability.
-
-    Valid when sender and receiver are mirror images of each other, which
-    makes every projector element <receiver|j><j|sender> real and symmetric
-    between +lambda and -lambda; otherwise the amplitude needs complex
-    phases and :class:`UnsupportedInputError` is raised.
-
-    Parameters
-    ----------
-    spectrum : spectral.Spectrum
-        Full eigendecomposition of the chain Hamiltonian.
-    sender, receiver : int
-        Site indices in the numbering the spectrum was computed in.
-    """
-    vals = spectrum.eigenvalues
-    weights = spectrum.eigenvectors[receiver, :] * spectrum.eigenvectors[sender, :]
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    freqs, coeffs = [], []
-    used = np.zeros(len(vals), dtype=bool)
-    for j in range(len(vals)):
-        if used[j]:
-            continue
-        lam = vals[j]
-        if lam < -tol * scale:
-            # locate the mirror partner +|lam|
-            partners = np.nonzero(~used & (np.abs(vals + lam) < tol * scale))[0]
-            partners = partners[partners != j]
-            if partners.size == 0:
-                raise UnsupportedInputError("unpaired negative eigenvalue")
-            p = int(partners[0])
-            if abs(weights[j] - weights[p]) > tol:
-                raise UnsupportedInputError(
-                    "sender and receiver are not mirror-related: "
-                    "asymmetric +/- weights"
-                )
-            freqs.append(abs(lam))
-            coeffs.append(weights[j] + weights[p])
-            used[j] = used[p] = True
-        elif abs(lam) <= tol * scale:
-            freqs.append(0.0)
-            coeffs.append(weights[j])
-            used[j] = True
-    if not np.all(used):
-        raise UnsupportedInputError("leftover positive eigenvalues without partners")
-    freqs, coeffs = _merge_terms(freqs, coeffs)
-    series = CosineSeries(tuple(freqs), tuple(coeffs))
-    if abs(series.coefficient_sum) > 1e-10:
-        raise UnsupportedInputError(
-            f"coefficient sum {series.coefficient_sum} not zero; "
-            "sites are not distinct mirror corners"
-        )
-    return series
-
-
 def chain_series(spec):
-    """Cosine series between the corner qubits of a mirror-symmetric chain."""
-    h = chains.build_hamiltonian(spec)
-    a, b = h.corner_sites
-    return closed_form_probability(spectral.decompose(h), a, b)
+    """Cosine series between the corner qubits of any chain.
+
+    With (mu_j, u_j) the eigenpairs of :func:`chains.jacobi_matrix`, the
+    corner amplitude is sum_j u_j[0] u_j[-1] cos(sqrt(mu_j) t).  J is an
+    unreduced tridiagonal matrix, so its spectrum is simple, and it is
+    positive definite, so every frequency is positive.  Frequencies come out
+    ascending.  No mirror symmetry is needed.
+    """
+    mu, u = np.linalg.eigh(chains.jacobi_matrix(spec))
+    freqs = np.sqrt(np.maximum(mu, 0.0))  # roundoff when some g_i^2 is tiny
+    return CosineSeries(tuple(freqs.tolist()), tuple((u[0] * u[-1]).tolist()))
+
+
+def refine_peak(series, lo, hi, xatol):
+    """(t, P) at the maximum of P on [lo, hi], located to within ``xatol``."""
+    res = optimize.minimize_scalar(
+        lambda t: -series.probability(t)[0],
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": xatol},
+    )
+    return float(res.x), float(-res.fun)
 
 
 def peak_search(series, t_max, refine_tol=1e-9):
@@ -251,13 +192,7 @@ def peak_search(series, t_max, refine_tol=1e-9):
     best = int(np.argmax(prob))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, n - 1)]
-    res = optimize.minimize_scalar(
-        lambda t: -series.probability(t)[0],
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": refine_tol},
-    )
-    t_star, p_star = float(res.x), float(-res.fun)
+    t_star, p_star = refine_peak(series, lo, hi, refine_tol)
     if prob[best] > p_star:
         t_star, p_star = float(grid[best]), float(prob[best])
     return t_star, min(p_star, 1.0)

@@ -137,15 +137,6 @@ class GlueResult:
     parent_glue: np.ndarray
 
 
-def _matrix_in_order(spec, order):
-    index = {s: i for i, s in enumerate(order)}
-    h = np.zeros((spec.n, spec.n))
-    for a, b, c in chains.edges(spec):
-        ia, ib = index[a], index[b]
-        h[ia, ib] = h[ib, ia] = c
-    return h
-
-
 def glue(parent, bridge_v):
     """Glue two mirror copies of ``parent`` through one qubit.
 
@@ -162,7 +153,8 @@ def glue(parent, bridge_v):
     n = parent.n
     k = parent.k
     order = glue_order(parent)
-    h_p = _matrix_in_order(parent, order)
+    idx = [chains.site_index(s, parent) for s in order]
+    h_p = chains.build_hamiltonian(parent).toarray()[np.ix_(idx, idx)]
 
     seq = chains.backbone_sequence(parent)
     child_seq = list(seq) + [bridge_v, bridge_v] + list(seq[::-1])

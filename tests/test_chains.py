@@ -105,10 +105,6 @@ class TestHamiltonian:
         p[pi, np.arange(spec.n)] = 1.0
         assert np.allclose(p @ h_cell @ p.T, h_sym)
 
-    def test_dense_and_sparse_agree(self):
-        h = chains.build_hamiltonian(chains.homogeneous_chain(35))
-        assert np.allclose(h.dense(), h.sparse().toarray())
-
 
 class TestSymmetry:
     def test_homogeneous_is_symmetric(self):

@@ -230,6 +230,16 @@ class TestManifest:
         manifest = json.loads((workdir / "qstc-manifest.json").read_text())
         assert manifest["seed"] == 4
 
+    def test_seed_recorded_for_sweep(self, workdir):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": "fixed_w_opt_g", "k": 2, "seed": 4, "budget": 150,
+            "sweep": {"w": [0.7], "T": [30.0]},
+        }))
+        assert run(["optimize", "--config", str(cfg)]) == 0
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["seed"] == 4
+
     def test_threads_flag(self, workdir):
         spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
         assert run(["--threads", "1", "spectrum", spec_file]) == 0

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qstc import chains, dynamics, spectral
-from qstc.errors import UnsupportedInputError, ValidationError
+from qstc import chains, dynamics
+from qstc.errors import ValidationError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -137,11 +137,35 @@ class TestClosedForm:
         series = dynamics.chain_series(chains.homogeneous_chain(11))
         assert abs(series.coefficient_sum) < 1e-12
 
-    def test_non_mirror_pair_rejected(self):
-        h = chains.build_hamiltonian(chains.homogeneous_chain(11))
-        s = spectral.decompose(h)
-        with pytest.raises(UnsupportedInputError):
-            dynamics.closed_form_probability(s, 0, 1)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_cells=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_series_equals_full_spectrum_random_chain(self, n_cells, seed):
+        # no mirror symmetry; some couplings snapped to the bounds the way DE
+        # clips them, which makes near-degenerate +/- pairs in the N x N
+        # spectrum
+        rng = np.random.default_rng(seed)
+        couplings = rng.uniform(0.05, 4.0, 3 * n_cells + 1)
+        snap = rng.random(couplings.size) < 0.3
+        couplings[snap] = rng.choice([0.05, 4.0], int(snap.sum()))
+        spec = chains.ChainSpec(
+            n_cells=n_cells,
+            t=couplings[:n_cells],
+            w=couplings[n_cells : 2 * n_cells],
+            g=couplings[2 * n_cells :],
+        )
+        assume(not chains.is_mirror_symmetric(spec))
+        h = chains.build_hamiltonian(spec)
+        lam, vec = np.linalg.eigh(h.toarray())
+        a, b = h.corner_sites
+        times = rng.uniform(0.0, 200.0, 50)
+        ref = np.exp(-1j * np.outer(times, lam)) @ (vec[a] * vec[b])
+        series = dynamics.chain_series(spec)
+        assert np.max(np.abs(series.amplitude(times) - ref)) < 1e-10
+        assert abs(series.coefficient_sum) < 1e-12
+        assert series.amplitude_ceiling <= 1.0 + 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -64,6 +64,19 @@ class TestObjective:
         p_win = small_problem(window_max=True)
         assert optimize.objective(p_win, [1.1]) >= optimize.objective(p_end, [1.1])
 
+    def test_clipped_fig5_point(self):
+        # DE clips to t = w = 0.05 with both corner pendants at 4.0: the N x N
+        # spectrum has near-degenerate +/- pairs
+        p = optimize.OptProblem(
+            scenario=optimize.Scenario.FULL_K_PLUS_4,
+            k=2,
+            arrival_time=110.0,
+            seed=1,
+            window_max=True,
+        )
+        value = optimize.objective(p, (0.05, 0.05, 4.0, 1.0, 1.0, 4.0))
+        assert 0.0 <= value <= 1.0
+
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValidationError):
             optimize.objective(small_problem(), [10.0])
