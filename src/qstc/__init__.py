@@ -4,7 +4,7 @@ Submodules
 ----------
 chains    chain specifications and Hamiltonian assembly
 spectral  eigendecomposition, structural lemma checks, glueing, sequences
-exact     integer characteristic polynomials and factor-degree profiles
+exact     integer characteristic polynomials and the factor-degree column
 dynamics  time evolution, transfer probability, cosine series
 design    PST inverse designs, dimerized bounds, PGT search
 optimize  deterministic differential-evolution coupling optimization

@@ -372,7 +372,7 @@ def load_spec(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read chain spec {path}: {exc}") from exc
     return spec_from_dict(data)
 

@@ -28,9 +28,14 @@ def _apply_threads(threads):
         threads = os.environ.get("QSTC_THREADS")
     if threads is None:
         return None
-    threads = int(threads)
+    from .errors import ValidationError
+
+    try:
+        threads = int(threads)
+    except ValueError as exc:
+        raise ValidationError(f"thread count must be an integer, got {threads!r}") from exc
     if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
+        raise ValidationError(f"thread count must be >= 1, got {threads}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(threads))
     return threads
@@ -74,13 +79,8 @@ def _cmd_spectrum(args):
     if args.exact:
         from .errors import UnsupportedInputError
 
-        couplings = spec.t + spec.w + spec.g
-        if any(abs(c - couplings[0]) > 0 for c in couplings) or couplings[0] != round(
-            couplings[0]
-        ):
-            raise UnsupportedInputError(
-                "--exact needs a homogeneous integer-coupling chain"
-            )
+        if any(c != 1.0 for c in spec.t + spec.w + spec.g):
+            raise UnsupportedInputError("--exact needs a homogeneous unit-coupling chain")
         payload["exact"] = exact.char_poly_report(spec.k).to_dict()
     outputs = []
     if args.out:
@@ -163,45 +163,17 @@ def _cmd_design_pgt(args):
 
 def _cmd_optimize(args):
     from . import optimize as qopt
-    from .errors import ValidationError
 
-    with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
-    budget = int(config.get("budget", 20000))
-    seed = int(config["seed"])
-    scenario = config["scenario"]
-    bounds = tuple(tuple(b) for b in config.get("bounds", [list(qopt.DEFAULT_BOUNDS)]))
-    window_max = bool(config.get("window_max", False))
+    config = qopt.load_config(args.config)
+    problems = qopt.problems_from_config(config)
+    budget = qopt.config_field(config, "budget", int, qopt.DEFAULT_BUDGET)
+    seed = qopt.config_field(config, "seed", int)
 
     outputs = []
     if "sweep" in config:
-        sw = config["sweep"]
-        k_values = [int(kv) for kv in sw.get("k", [config["k"]])]
-        fixed_name = "w" if scenario == qopt.Scenario.FIXED_W_OPT_G.value else "alpha"
-        fixed_values = sw.get(fixed_name, [None])
-        problems = []
-        for k in k_values:
-            n = 3 * k + 5
-            t_values = [float(m) * n for m in sw.get("T_multiples", [])] + [
-                float(t) for t in sw.get("T", [])
-            ]
-            if not t_values:
-                raise ValidationError("sweep needs 'T_multiples' or 'T'")
-            for fv in fixed_values:
-                for t_val in sorted(t_values):
-                    fixed = {} if fv is None else {fixed_name: float(fv)}
-                    problems.append(
-                        qopt.OptProblem(
-                            scenario=scenario,
-                            k=k,
-                            arrival_time=t_val,
-                            seed=seed,
-                            bounds=bounds,
-                            fixed_params=fixed,
-                            window_max=window_max,
-                        )
-                    )
-        results = qopt.sweep(problems, budget, warm_start=config.get("warm_start", True))
+        results = qopt.sweep(
+            problems, budget, warm_start=qopt.config_field(config, "warm_start", bool, True)
+        )
         rows = qopt.sweep_csv_rows(results)
         payload = {
             "sweep": [
@@ -222,24 +194,7 @@ def _cmd_optimize(args):
             print(" ", row)
         return dict(payload, seed=seed), outputs
 
-    k = int(config["k"])
-    n = 3 * k + 5
-    if "T" in config:
-        arrival = float(config["T"])
-    elif "T_multiple" in config:
-        arrival = float(config["T_multiple"]) * n
-    else:
-        raise ValidationError("config needs 'T' or 'T_multiple'")
-    problem = qopt.OptProblem(
-        scenario=scenario,
-        k=k,
-        arrival_time=arrival,
-        seed=seed,
-        bounds=bounds,
-        fixed_params=config.get("fixed_params", {}),
-        window_max=window_max,
-    )
-    result = qopt.optimize(problem, budget)
+    result = qopt.optimize(problems[0], budget)
     payload = result.to_dict()
     if args.out:
         _write_json(payload, args.out)
@@ -382,10 +337,7 @@ def _classify_error(exc):
             errors.StructuralError,
             errors.UnsupportedSequenceError,
             errors.UnsupportedInputError,
-            json.JSONDecodeError,
-            FileNotFoundError,
-            KeyError,
-            ValueError,
+            OSError,  # inputs are read at typed boundaries; this is an unwritable --out
         ),
     ):
         return EXIT_INPUT

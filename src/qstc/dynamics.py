@@ -24,7 +24,7 @@ from . import chains
 from .errors import ValidationError
 
 #: probability may exceed 1 by at most this much before it is an error
-PROB_SLACK = 1e-12
+PROB_SLACK = 1e-9
 
 
 def fidelity_from_probability(p):
@@ -56,23 +56,6 @@ class TransferTrace:
             fh.write("t,P,f\n")
             for t, p, f in zip(self.times, self.probability, self.fidelity):
                 fh.write(f"{t:.15g},{p:.15g},{f:.15g}\n")
-
-
-def _trace_from_probability(times, prob):
-    prob = np.asarray(prob, dtype=float)
-    if prob.min() < -PROB_SLACK or prob.max() > 1 + 1e-9:
-        raise ValidationError(
-            f"probability out of [0,1]: range [{prob.min()}, {prob.max()}]"
-        )
-    prob = np.clip(prob, 0.0, 1.0)
-    fid = fidelity_from_probability(prob)
-    best = int(np.argmax(prob))
-    return TransferTrace(
-        times=tuple(float(t) for t in times),
-        probability=tuple(float(p) for p in prob),
-        fidelity=tuple(float(f) for f in fid),
-        peak=(float(times[best]), float(prob[best])),
-    )
 
 
 def transfer_probability(spec, times):
@@ -137,7 +120,19 @@ class CosineSeries:
         return self.amplitude(times) ** 2
 
     def trace(self, times):
-        return _trace_from_probability(times, self.probability(times))
+        """Sampled :class:`TransferTrace`; P above 1 + PROB_SLACK is an error."""
+        prob = self.probability(times)
+        if prob.max() > 1 + PROB_SLACK:
+            raise ValidationError(f"probability above 1: max {prob.max()}")
+        prob = np.minimum(prob, 1.0)
+        fid = fidelity_from_probability(prob)
+        best = int(np.argmax(prob))
+        return TransferTrace(
+            times=tuple(float(t) for t in times),
+            probability=tuple(float(p) for p in prob),
+            fidelity=tuple(float(f) for f in fid),
+            peak=(float(times[best]), float(prob[best])),
+        )
 
     def to_dict(self):
         return {

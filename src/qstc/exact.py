@@ -1,4 +1,4 @@
-"""Exact characteristic polynomials and factor-degree classification.
+"""Exact characteristic polynomials and the factor-degree column of Table 2.
 
 Everything here runs on arbitrary-precision integers; no floating point enters
 the core computations.  Polynomials are coefficient lists, lowest degree
@@ -6,18 +6,15 @@ first.
 
 A homogeneous chain with N = 3k+5 qubits has characteristic polynomial
 x^(k+1) * q(x^2) where q is monic of degree k+2 with integer coefficients;
-``reduced_charpoly_homogeneous`` produces q directly from the tridiagonal
-matrix that carries the nonzero part of the spectrum, while ``char_poly_exact``
+``reduced_charpoly_homogeneous`` produces q directly as the characteristic
+polynomial of the A1-sublattice Jacobi matrix :func:`chains.jacobi_matrix`,
+which carries the nonzero part of the spectrum, while ``char_poly_exact``
 computes the full polynomial of any integer-coupling chain by the
 Faddeev-LeVerrier recursion.
 
-The factor-degree profile reports, for each rational irreducible factor of q,
-either its degree, or - when the factor's roots are expressible in nested
-square roots - the equivalent count of quadratic factors.  Solvability in
-square roots is decided by distinct-degree factorization modulo several large
-primes: a factor whose splitting field has a 2-group Galois group can only
-show power-of-two factor degrees modulo any good prime, while any other group
-exhibits an odd-length cycle for a positive density of primes.
+``char_poly_report`` factors q over the rationals once and certifies the
+result against the cyclotomic prediction ``cyclotomic_factor_degrees``; the
+published degree column itself comes from ``table_degree``.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ from .errors import NumericalError, StructuralError, UnsupportedInputError, Vali
 
 DEFAULT_K_CAP = 50
 HARD_K_CAP = 100
-PRIME_FLOOR = 10**6
-N_PRIMES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +58,6 @@ def poly_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_degree(p):
-    p = poly_trim(p)
-    return len(p) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -136,159 +126,26 @@ def reduced_charpoly_homogeneous(k):
     """Monic integer q(y) with char poly(h_{3k+5}) = x^(k+1) q(x^2).
 
     The nonzero squared eigenvalues of the homogeneous chain are the
-    eigenvalues of the (k+2)x(k+2) tridiagonal matrix with unit off-diagonals
-    and diagonal (2, 3, ..., 3, 2); q is its characteristic polynomial,
-    computed by the three-term continuant recurrence.
+    eigenvalues of its (k+2)x(k+2) Jacobi matrix :func:`chains.jacobi_matrix`;
+    q is that matrix's characteristic polynomial, computed by the three-term
+    continuant recurrence.
     """
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    m = k + 2
-    diag = [2] + [3] * (m - 2) + [2] if m >= 2 else [2]
+    jac = _integer_matrix(chains.jacobi_matrix(chains.homogeneous_chain(3 * k + 5)))
     prev = [1]
-    cur = [-diag[0], 1]
-    for j in range(1, m):
-        nxt = poly_mul([-diag[j], 1], cur)
+    cur = [-jac[0][0], 1]
+    for j in range(1, len(jac)):
+        nxt = poly_mul([-jac[j][j], 1], cur)
+        off2 = jac[j][j - 1] ** 2
         for i, cf in enumerate(prev):
-            nxt[i] -= cf
+            nxt[i] -= off2 * cf
         prev, cur = cur, nxt
     return poly_trim(cur)
 
 
 # ---------------------------------------------------------------------------
-# modular polynomial arithmetic and distinct-degree factorization
-# ---------------------------------------------------------------------------
-
-
-def _pmod(p, q):
-    return poly_trim([c % q for c in p])
-
-
-def _pmul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return poly_trim(out)
-
-
-def _pdivmod(a, b, p):
-    a = poly_trim(a)
-    b = poly_trim(b)
-    if b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[-1], -1, p)
-    quo = [0] * max(len(a) - len(b) + 1, 1)
-    rem = list(a)
-    while len(rem) >= len(b) and poly_trim(rem) != [0]:
-        rem = poly_trim(rem)
-        if len(rem) < len(b):
-            break
-        coef = rem[-1] * inv % p
-        shift = len(rem) - len(b)
-        quo[shift] = coef
-        for i, c in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - coef * c) % p
-        rem = rem[:-1]
-    return poly_trim(quo), poly_trim(rem)
-
-
-def _pgcd(a, b, p):
-    a, b = poly_trim(a), poly_trim(b)
-    while b != [0]:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    if a != [0]:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _ppowmod(base, exp, mod, p):
-    result = [1]
-    base = _pdivmod(base, mod, p)[1]
-    while exp:
-        if exp & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
-        exp >>= 1
-    return result
-
-
-def _pderiv(a, p):
-    return poly_trim([(i * c) % p for i, c in enumerate(a)][1:] or [0])
-
-
-def squarefree_mod(f, p):
-    fp = _pmod(f, p)
-    if poly_degree(fp) != poly_degree(f):
-        return False  # leading coefficient vanished
-    return poly_degree(_pgcd(fp, _pderiv(fp, p), p)) == 0
-
-
-def distinct_degree_factor_degrees(f, p):
-    """Degrees (with multiplicity) of the irreducible factors of f mod p.
-
-    Requires f squarefree mod p.  Classical distinct-degree factorization:
-    gcd with x^(p^d) - x collects the degree-d part.
-    """
-    fcur = _pmod(f, p)
-    inv = pow(fcur[-1], -1, p)
-    fcur = [c * inv % p for c in fcur]
-    degrees = []
-    h = [0, 1]  # x
-    d = 0
-    while poly_degree(fcur) >= 2 * (d + 1):
-        d += 1
-        h = _ppowmod(h, p, fcur, p)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(diff, fcur, p)
-        gd = poly_degree(g)
-        if gd > 0:
-            degrees.extend([d] * (gd // d))
-            fcur, _ = _pdivmod(fcur, g, p)
-            h = _pdivmod(h, fcur, p)[1]
-    if poly_degree(fcur) > 0:
-        degrees.append(poly_degree(fcur))
-    return sorted(degrees)
-
-
-def good_primes(q, count=N_PRIMES, floor=PRIME_FLOOR):
-    """First ``count`` primes above ``floor`` keeping q squarefree mod p."""
-    primes = []
-    p = sy.nextprime(floor)
-    attempts = 0
-    while len(primes) < count:
-        if squarefree_mod(q, p):
-            primes.append(int(p))
-        attempts += 1
-        if attempts > 1000:
-            raise NumericalError("prime search exhausted; polynomial may not be squarefree")
-        p = sy.nextprime(p)
-    return primes
-
-
-def _is_power_of_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def solvable_in_square_roots(fcoeffs, primes):
-    """(verdict, proved) for 'roots expressible in nested square roots'.
-
-    A 2-group Galois group shows only power-of-two cycle lengths modulo every
-    good prime; a single odd cycle length disproves it.  The positive verdict
-    is Chebotarev evidence, the negative one is a proof.
-    """
-    for p in primes:
-        for d in distinct_degree_factor_degrees(fcoeffs, p):
-            if not _is_power_of_two(d):
-                return False, True
-    return True, False
-
-
-# ---------------------------------------------------------------------------
-# factor-degree profiles and sequence classification
+# factor degrees and sequence classification
 # ---------------------------------------------------------------------------
 
 
@@ -357,74 +214,17 @@ def classify_sequence(k):
 
 
 @dataclass(frozen=True)
-class FactorProfile:
-    """Degree profile of a reduced characteristic polynomial.
-
-    ``rational_degrees`` are the plain degrees of the irreducible rational
-    factors; ``degrees`` replaces every factor solvable in square roots by the
-    equivalent number of quadratics (so the profile sums to deg q either way).
-    """
-
-    degrees: tuple
-    rational_degrees: tuple
-    max_degree: int
-    certification: str
-    squarefree: bool
-    primes: tuple
-
-
-def factor_degree_profile(q, primes=None):
-    """Profile the rational factors of an integer polynomial in y."""
-    q = poly_trim(q)
-    y = sy.symbols("y")
-    poly = sy.Poly(list(reversed(q)), y, domain="ZZ")
-    squarefree = sy.gcd(poly, poly.diff(y)).total_degree() == 0
-    work = poly if squarefree else sy.Poly(sy.factor_list(poly)[1][0][0], y)
-
-    if primes is None:
-        primes = good_primes([int(c) for c in reversed(work.all_coeffs())])
-
-    degrees = []
-    rational = []
-    certification = "proved"
-    for factor, mult in sy.factor_list(poly)[1]:
-        fpoly = sy.Poly(factor, y)
-        d = fpoly.degree()
-        rational.extend([d] * mult)
-        if d <= 2:
-            degrees.extend([d] * mult)
-            continue
-        if not _is_power_of_two(d):
-            degrees.extend([d] * mult)
-            continue
-        coeffs = [int(c) for c in reversed(fpoly.all_coeffs())]
-        solvable, proved = solvable_in_square_roots(coeffs, primes)
-        if solvable:
-            degrees.extend([2] * (d // 2) * mult)
-            if not proved:
-                certification = "evidence"
-        else:
-            degrees.extend([d] * mult)
-    degrees.sort()
-    rational.sort()
-    return FactorProfile(
-        degrees=tuple(degrees),
-        rational_degrees=tuple(rational),
-        max_degree=max(degrees),
-        certification=certification,
-        squarefree=squarefree,
-        primes=tuple(primes),
-    )
-
-
-@dataclass(frozen=True)
 class CharPolyReport:
-    """Exact spectral-algebra summary of a homogeneous chain."""
+    """Exact spectral-algebra summary of a homogeneous chain.
+
+    ``rational_degrees`` are the sorted degrees of the irreducible rational
+    factors of the reduced polynomial; ``certification`` is "proved" when they
+    equal :func:`cyclotomic_factor_degrees` and "evidence" otherwise.
+    """
 
     k: int
     n: int
     reduced_poly: tuple
-    factor_degrees: tuple
     rational_degrees: tuple
     max_degree: int
     certification: str
@@ -435,7 +235,7 @@ class CharPolyReport:
             "k": self.k,
             "N": self.n,
             "reduced_poly": [str(c) for c in self.reduced_poly],
-            "factor_degrees": list(self.factor_degrees),
+            "factor_degrees": list(self.rational_degrees),
             "rational_degrees": list(self.rational_degrees),
             "max_degree": self.max_degree,
             "certification": self.certification,
@@ -454,15 +254,15 @@ def char_poly_report(k, allow_large=False):
     if allow_large and k > DEFAULT_K_CAP:
         warnings.warn(f"k={k}: exact factorization beyond k={DEFAULT_K_CAP} can be slow")
     q = reduced_charpoly_homogeneous(k)
-    profile = factor_degree_profile(q)
-    predicted = cyclotomic_factor_degrees(k)
-    certification = "proved" if profile.rational_degrees == predicted else "evidence"
+    y = sy.symbols("y")
+    factors = sy.factor_list(sy.Poly(list(reversed(q)), y, domain="ZZ"))[1]
+    rational = tuple(sorted(f.degree() for f, mult in factors for _ in range(mult)))
+    certification = "proved" if rational == cyclotomic_factor_degrees(k) else "evidence"
     return CharPolyReport(
         k=k,
         n=3 * k + 5,
         reduced_poly=tuple(q),
-        factor_degrees=profile.rational_degrees,
-        rational_degrees=profile.rational_degrees,
+        rational_degrees=rational,
         max_degree=table_degree(k),
         certification=certification,
         sequence=classify_sequence(k),

@@ -16,6 +16,7 @@ generator; identical problems and budgets give bitwise-identical results.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +27,7 @@ from . import chains, dynamics
 from .errors import ValidationError
 
 DEFAULT_BOUNDS = (0.05, 4.0)
+DEFAULT_BUDGET = 20000
 POPULATION_FACTOR = 15
 CROSSOVER = 0.9
 DIFFERENTIAL_WEIGHT = 0.7
@@ -125,6 +127,99 @@ class OptProblem:
             "fixed_params": dict(self.fixed_params),
             "window_max": self.window_max,
         }
+
+
+_REQUIRED = object()
+
+
+def config_field(config, key, kind, default=_REQUIRED):
+    """``kind(config[key])``, or ``default`` when the key is absent.
+
+    A missing required key or a value that ``kind`` rejects raises
+    :class:`ValidationError`.
+    """
+    if key not in config:
+        if default is _REQUIRED:
+            raise ValidationError(f"optimize config needs {key!r}")
+        return default
+    try:
+        return kind(config[key])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"optimize config {key!r}: {exc}") from exc
+
+
+def _floats(values):
+    return [float(v) for v in values]
+
+
+def _bounds(pairs):
+    return tuple(tuple(float(x) for x in pair) for pair in pairs)
+
+
+def _fixed_params(params):
+    return {name: float(value) for name, value in dict(params).items()}
+
+
+def load_config(path):
+    """Optimize config from a JSON file; an unreadable file is bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read optimize config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValidationError(f"optimize config {path} is not a JSON object")
+    return config
+
+
+def problems_from_config(config):
+    """The :class:`OptProblem` list an optimize config describes, in run order.
+
+    Without a ``sweep`` block the config is one problem at ``T``, or at
+    ``T_multiple`` x N.  A ``sweep`` block expands to one problem per k
+    (``sweep.k``, default the config's ``k``), per value of the scenario's
+    fixed parameter (``sweep.w`` or ``sweep.alpha``, default none) and per
+    arrival time (``T_multiples`` x N and ``T``, ascending).  A missing or
+    ill-typed key raises :class:`ValidationError`.
+    """
+    scenario = config_field(config, "scenario", Scenario)
+    common = dict(
+        scenario=scenario,
+        seed=config_field(config, "seed", int),
+        bounds=config_field(config, "bounds", _bounds, (DEFAULT_BOUNDS,)),
+        window_max=config_field(config, "window_max", bool, False),
+    )
+    if "sweep" not in config:
+        k = config_field(config, "k", int)
+        if "T" in config:
+            arrival = config_field(config, "T", float)
+        elif "T_multiple" in config:
+            arrival = config_field(config, "T_multiple", float) * (3 * k + 5)
+        else:
+            raise ValidationError("config needs 'T' or 'T_multiple'")
+        fixed = config_field(config, "fixed_params", _fixed_params, {})
+        return [OptProblem(k=k, arrival_time=arrival, fixed_params=fixed, **common)]
+
+    sweep_cfg = config_field(config, "sweep", dict)
+    k_values = config_field(sweep_cfg, "k", lambda ks: [int(k) for k in ks], None)
+    if k_values is None:
+        k_values = [config_field(config, "k", int)]
+    fixed_name = "w" if scenario == Scenario.FIXED_W_OPT_G else "alpha"
+    fixed_values = config_field(sweep_cfg, fixed_name, _floats, [None])
+    multiples = config_field(sweep_cfg, "T_multiples", _floats, [])
+    times = config_field(sweep_cfg, "T", _floats, [])
+    if not multiples and not times:
+        raise ValidationError("sweep needs 'T_multiples' or 'T'")
+    problems = []
+    for k in k_values:
+        t_values = sorted([m * (3 * k + 5) for m in multiples] + times)
+        for fv in fixed_values:
+            for t_val in t_values:
+                fixed = {} if fv is None else {fixed_name: fv}
+                problems.append(
+                    OptProblem(k=k, arrival_time=t_val, fixed_params=fixed, **common)
+                )
+    return problems
 
 
 def objective(problem, params):

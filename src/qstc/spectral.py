@@ -10,11 +10,12 @@ The structural facts used throughout:
 * for homogeneous chains the glueing recursion produces families of lengths
   {N0, 2*N0+1, 4*N0+3, ...} whose eigenvalues are nested square roots.
 
-For a homogeneous chain the squared nonzero eigenvalues are 3 + theta with
-theta running over the spectrum of the (k+2)x(k+2) tridiagonal matrix with
-unit off-diagonal and diagonal (-1, 0, ..., 0, -1); one glueing step doubles
-that matrix and extends its spectrum by {+/- sqrt(2+theta)}.  The catalogued
-families evaluate that recursion symbolically.
+The squared nonzero eigenvalues are the eigenvalues of the (k+2)x(k+2)
+Jacobi matrix :func:`chains.jacobi_matrix`.  For a homogeneous chain they are
+3 + theta with theta running over the spectrum of J - 3I, the tridiagonal
+matrix with unit off-diagonal and diagonal (-1, 0, ..., 0, -1); one glueing
+step doubles that matrix and extends its spectrum by {+/- sqrt(2+theta)}.  The
+catalogued families evaluate that recursion symbolically.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qstc import chains, cli, design
+from qstc import chains, cli, design, spectral
 
 
 @pytest.fixture()
@@ -49,9 +49,32 @@ class TestSpectrumCommand:
         spec_file = write_spec(workdir / "frac.json", spec)
         assert run(["spectrum", spec_file, "--exact"]) == 2
 
+    def test_exact_rejects_non_unit_coupling(self, workdir):
+        # the exact report describes the unit-coupling chain only
+        spec_file = workdir / "n11c2.json"
+        spec_file.write_text(json.dumps({"homogeneous": {"N": 11, "coupling": 2}}))
+        assert run(["spectrum", str(spec_file), "--exact"]) == 2
+
+    def test_internal_error_not_bad_input(self, workdir, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(spectral, "decompose", broken)
+        spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
+        assert run(["spectrum", spec_file]) == 1
+
     def test_truncated_file(self, workdir):
         bad = workdir / "bad.json"
         bad.write_text('{"n_cells": 2, "t": [1')
+        assert run(["spectrum", str(bad)]) == 2
+
+    def test_unwritable_output(self, workdir):
+        spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
+        assert run(["spectrum", spec_file, "--out", str(workdir / "nodir" / "s.json")]) == 2
+
+    def test_undecodable_file(self, workdir):
+        bad = workdir / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
         assert run(["spectrum", str(bad)]) == 2
 
     def test_manifest_written_on_failure(self, workdir):
@@ -166,6 +189,26 @@ class TestOptimizeCommand:
                                    "fixed_params": {"w": 0.8}}))
         assert run(["optimize", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # file missing
+            b"\xff\xfe{}",  # not UTF-8
+            b'{"scenario": "fixed_w_opt_g", "k": 2',  # truncated JSON
+            json.dumps({"scenario": "fixed_w_opt_g", "k": 2, "seed": "x", "T": 50.0,
+                        "fixed_params": {"w": 0.8}}).encode(),
+            json.dumps({"scenario": "fixed_w_opt_g", "k": 2, "seed": 1, "T": 50.0,
+                        "budget": "many", "fixed_params": {"w": 0.8}}).encode(),
+            json.dumps({"scenario": "fixed_w_opt_g", "k": 2, "seed": 1, "T": 50.0,
+                        "fixed_params": {"w": "wide"}}).encode(),
+        ],
+    )
+    def test_bad_config_rejected(self, workdir, content):
+        cfg = workdir / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert run(["optimize", "--config", str(cfg)]) == 2
+
 
 class TestGlueCommand:
     def test_round_trip(self, workdir):
@@ -244,3 +287,8 @@ class TestManifest:
         spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
         assert run(["--threads", "1", "spectrum", spec_file]) == 0
         assert run(["--threads", "0", "spectrum", spec_file]) == 2
+
+    def test_threads_env_not_integer(self, workdir, monkeypatch):
+        monkeypatch.setenv("QSTC_THREADS", "many")
+        spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
+        assert run(["spectrum", spec_file]) == 2

@@ -112,6 +112,15 @@ class TestCosineSeries:
         t = np.linspace(0.0, 50.0, 2000)
         assert np.max(np.abs(series.amplitude(t))) <= series.amplitude_ceiling + 1e-12
 
+    def test_trace_rejects_probability_above_one(self):
+        with pytest.raises(ValidationError):
+            dynamics.CosineSeries((0.0,), (1.1,)).trace([0.0])
+
+    def test_trace_clips_roundoff_above_one(self):
+        trace = dynamics.CosineSeries((0.0,), (1.0 + 1e-12,)).trace([0.0])
+        assert trace.probability == (1.0,)
+        assert trace.peak == (0.0, 1.0)
+
 
 class TestClosedForm:
     def test_homogeneous_n17_reference(self):

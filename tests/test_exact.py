@@ -1,4 +1,4 @@
-"""Tests for exact characteristic polynomials and factor-degree profiles."""
+"""Tests for exact characteristic polynomials and the factor-degree column."""
 
 import math
 
@@ -36,10 +36,6 @@ class TestPolyHelpers:
         # (1 + x)(1 - x) = 1 - x^2
         assert exact.poly_mul([1, 1], [1, -1]) == [1, 0, -1]
         assert exact.poly_eval([1, 0, -1], 3) == -8
-
-    def test_degree(self):
-        assert exact.poly_degree([5]) == 0
-        assert exact.poly_degree([0, 0, 7, 0]) == 2
 
 
 class TestCharPolyExact:
@@ -118,35 +114,6 @@ class TestReducedCharpoly:
     def test_rejects_negative_k(self):
         with pytest.raises(ValidationError):
             exact.reduced_charpoly_homogeneous(-1)
-
-
-class TestModularFactorization:
-    def test_distinct_degree_known_split(self):
-        # y^2 - 1 = (y-1)(y+1) over any odd prime
-        p = exact.good_primes([-1, 0, 1], count=1)[0]
-        assert exact.distinct_degree_factor_degrees([-1, 0, 1], p) == [1, 1]
-
-    def test_irreducible_quadratic(self):
-        # y^2 + 1 is irreducible mod p for p = 3 mod 4
-        assert exact.distinct_degree_factor_degrees([1, 0, 1], 1000003) == [2]
-
-    def test_squarefree_detection(self):
-        assert exact.squarefree_mod([-1, 0, 1], 1000003)
-        assert not exact.squarefree_mod([1, 2, 1], 1000003)  # (y+1)^2
-
-    def test_good_primes_skip_bad_reductions(self):
-        primes = exact.good_primes([-1, 0, 1], count=4)
-        assert len(primes) == 4
-        assert all(p > exact.PRIME_FLOOR for p in primes)
-
-    def test_solvable_verdicts(self):
-        # q for k=2 splits into quadratics; k=5 contains a cubic obstruction
-        q2 = exact.reduced_charpoly_homogeneous(2)
-        solvable, _ = exact.solvable_in_square_roots(q2, exact.good_primes(q2))
-        assert solvable
-        q5 = exact.reduced_charpoly_homogeneous(5)
-        solvable, proved = exact.solvable_in_square_roots(q5, exact.good_primes(q5))
-        assert not solvable and proved
 
 
 class TestClassification:

@@ -1,10 +1,16 @@
 """Tests for the deterministic differential-evolution coupling search."""
 
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qstc import chains, design, dynamics, optimize
 from qstc.errors import ValidationError
+
+RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 
 def small_problem(**overrides):
@@ -162,3 +168,60 @@ class TestConsistencyAcrossModules:
         value = optimize.objective(p, [1.0])
         series = dynamics.chain_series(chains.homogeneous_chain(11))
         assert value == pytest.approx(float(series.probability(17.0)[0]), abs=1e-12)
+
+
+class TestProblemsFromConfig:
+    @pytest.mark.parametrize(
+        "name, count, fixed_name",
+        [("fig3", 36, "w"), ("fig4", 28, "alpha"), ("fig5", 3, None)],
+    )
+    def test_recipes(self, name, count, fixed_name):
+        config = optimize.load_config(RECIPES / f"{name}.json")
+        problems = optimize.problems_from_config(config)
+        assert len(problems) == count
+        sweep = config["sweep"]
+        fixed_values = sweep[fixed_name] if fixed_name else [None]
+        expected = [
+            (k, {} if fv is None else {fixed_name: fv}, m * (3 * k + 5))
+            for k, fv, m in itertools.product(
+                sweep.get("k", [config["k"]]), fixed_values, sorted(sweep["T_multiples"])
+            )
+        ]
+        assert [(p.k, p.fixed_params, p.arrival_time) for p in problems] == expected
+        assert all(p.seed == config["seed"] and p.window_max for p in problems)
+
+    def test_single_problem(self):
+        config = {"scenario": "alpha_opt_tg", "k": 1, "seed": 3, "T_multiple": 2,
+                  "fixed_params": {"alpha": 2.0}, "bounds": [[0.1, 3.0]]}
+        (problem,) = optimize.problems_from_config(config)
+        assert problem.scenario == optimize.Scenario.ALPHA_OPT_TG
+        assert problem.arrival_time == 16.0
+        assert problem.bounds == ((0.1, 3.0), (0.1, 3.0))
+        assert not problem.window_max
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": None},
+            {"scenario": "unknown"},
+            {"k": "two"},
+            {"bounds": 1.0},
+            {"T": None, "sweep": {"w": [0.5]}},
+            {"sweep": {"w": 0.5, "T": [10]}},
+        ],
+    )
+    def test_bad_config_rejected(self, overrides):
+        config = {"scenario": "fixed_w_opt_g", "k": 2, "seed": 1, "T": 50.0,
+                  "fixed_params": {"w": 0.8}}
+        config.update(overrides)
+        config = {key: value for key, value in config.items() if value is not None}
+        with pytest.raises(ValidationError):
+            optimize.problems_from_config(config)
+
+    def test_unreadable_config_rejected(self, tmp_path):
+        with pytest.raises(ValidationError):
+            optimize.load_config(tmp_path / "missing.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([1, 2]))
+        with pytest.raises(ValidationError):
+            optimize.load_config(bad)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qstc import chains, spectral
@@ -38,6 +38,32 @@ class TestDecompose:
     def test_paired_flag(self):
         h = chains.build_hamiltonian(chains.homogeneous_chain(8))
         assert spectral.decompose(h).paired
+
+
+class TestJacobiSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_cells=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_full_spectrum_from_jacobi_random_chain(self, n_cells, seed):
+        # spec(H) = {+/- sqrt(mu_j)} plus k+1 zeros, mu = spec(J): the chain is
+        # bipartite with J = B B^T of full rank n_cells+1 (lemma 2)
+        rng = np.random.default_rng(seed)
+        couplings = rng.uniform(0.05, 4.0, 3 * n_cells + 1)
+        snap = rng.random(couplings.size) < 0.3
+        couplings[snap] = rng.choice([0.05, 4.0], int(snap.sum()))
+        spec = chains.ChainSpec(
+            n_cells=n_cells,
+            t=couplings[:n_cells],
+            w=couplings[n_cells : 2 * n_cells],
+            g=couplings[2 * n_cells :],
+        )
+        assume(not chains.is_mirror_symmetric(spec))
+        root = np.sqrt(np.linalg.eigvalsh(chains.jacobi_matrix(spec)))
+        expected = np.sort(np.concatenate([-root, np.zeros(spec.k + 1), root]))
+        lam = np.linalg.eigvalsh(chains.build_hamiltonian(spec).toarray())
+        assert np.max(np.abs(lam - expected)) < 1e-10
 
 
 class TestGlue:
