@@ -23,7 +23,7 @@ EXIT_INFEASIBLE = 4
 
 
 def _apply_threads(threads):
-    """Cap BLAS worker threads before numpy spins up its pools."""
+    """Cap BLAS worker threads, overriding any thread variable already set."""
     if threads is None:
         threads = os.environ.get("QSTC_THREADS")
     if threads is None:
@@ -37,7 +37,7 @@ def _apply_threads(threads):
     if threads < 1:
         raise ValidationError(f"thread count must be >= 1, got {threads}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
+        os.environ[var] = str(threads)
     return threads
 
 

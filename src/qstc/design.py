@@ -9,8 +9,8 @@ The dimerized section covers uniform (t_i=1, w_i=w, g_i=g) N=11 chains: the
 exact five-frequency probability and the g-independent envelope
 P_up = (w(1+w^2)/(1+w^4))^2 that caps the achievable transfer.
 
-Pretty-good-transfer search scans a cosine series for the earliest time whose
-infidelity drops below a target.
+Pretty-good-transfer search runs the peak search of :func:`dynamics.scan_peaks`
+forward for the earliest peak whose infidelity drops below a target.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class PgtSearchResult:
     """Outcome of a pretty-good-transfer arrival-time scan.
 
     ``reached`` tells whether some t <= t_max got the infidelity below
-    epsilon; ``t_found`` is the earliest such time (None when not reached).
+    epsilon; ``t_found`` is the earliest peak that does (None when not reached).
     ``best_t``/``best_infidelity`` always record the best point seen.
     """
 
@@ -275,63 +275,32 @@ class PgtSearchResult:
         }
 
 
-def pgt_search(series, epsilon, t_max, chunk=65536):
-    """Earliest time with 1 - P(t) < epsilon on a cosine series.
+def pgt_search(series, epsilon, t_max):
+    """Earliest refined peak with 1 - P(t) < epsilon on a cosine series.
 
-    Coarse forward scan (step pi/(8 f_max)) in chunks; the first chunk that
-    contains a hit is refined locally before reporting.
+    :func:`dynamics.scan_peaks` with amplitude cap sqrt(1 - epsilon), stopped
+    at the first chunk with a hit; otherwise the best peak seen is kept.
     """
     if not 0 < epsilon < 1:
         raise ValidationError(f"epsilon must be in (0,1), got {epsilon}")
     if t_max <= 0:
         raise ValidationError(f"t_max must be positive, got {t_max}")
-    fmax = series.max_frequency
-    step = np.pi / (8 * fmax) if fmax > 0 else t_max / chunk
-    best_t, best_p = 0.0, float(series.probability(0.0)[0])
-    used = 1
-    start = 0.0
-    while start < t_max:
-        stop = min(start + chunk * step, t_max)
-        n = max(int(np.ceil((stop - start) / step)), 2)
-        grid = np.linspace(start, stop, n)
-        prob = series.probability(grid)
-        used += n
-        i = int(np.argmax(prob))
-        if prob[i] > best_p:
-            best_t, best_p = float(grid[i]), float(prob[i])
-        # a true peak can sit between grid points; with 4x oversampling the
-        # sampled value can undershoot the peak by a few percent, so refine
-        # every local maximum that comes within that allowance
-        allowance = 0.05
-        interior = np.arange(1, n - 1)
-        is_peak = (prob[interior] >= prob[interior - 1]) & (
-            prob[interior] >= prob[interior + 1]
-        )
-        candidates = [j for j in interior[is_peak] if 1.0 - prob[j] < epsilon + allowance]
-        for h in candidates:
-            t_star, p_star = dynamics.refine_peak(series, grid[h - 1], grid[h + 1], 1e-12)
-            used += 64
-            if p_star < prob[h]:
-                t_star, p_star = float(grid[h]), float(prob[h])
-            if p_star > best_p:
-                best_t, best_p = t_star, p_star
-            if 1.0 - p_star < epsilon:
-                return PgtSearchResult(
-                    epsilon=float(epsilon),
-                    t_found=t_star,
-                    reached=True,
-                    best_t=t_star,
-                    best_infidelity=1.0 - p_star,
-                    scan_budget=used,
-                    frequencies=series.frequencies,
-                )
-        if stop >= t_max:
+    best_t, best_p, used = 0.0, -1.0, 0
+    for times, probs, evaluations in dynamics.scan_peaks(
+        series, t_max, amplitude_cap=math.sqrt(1.0 - epsilon)
+    ):
+        used += evaluations
+        hits = np.flatnonzero(1.0 - probs < epsilon)
+        reached = hits.size > 0
+        i = int(hits[0]) if reached else int(np.argmax(probs))
+        if reached or probs[i] > best_p:
+            best_t, best_p = float(times[i]), float(probs[i])
+        if reached:
             break
-        start = stop - step  # overlap so chunk-edge peaks stay interior
     return PgtSearchResult(
         epsilon=float(epsilon),
-        t_found=None,
-        reached=False,
+        t_found=best_t if reached else None,
+        reached=reached,
         best_t=best_t,
         best_infidelity=1.0 - best_p,
         scan_budget=used,

@@ -9,6 +9,9 @@ tridiagonal Jacobi matrix J = H^2 restricted to the A1 qubits
 (:func:`chains.jacobi_matrix`).  The same series serves sampled traces,
 pretty-good-transfer arguments and peak searches.
 
+:func:`scan_peaks` is the one scan-and-refine peak search; window maxima
+(:func:`peak_search`) and pretty good transfer (:func:`design.pgt_search`) use it.
+
 The averaged transmission fidelity is f = 1/2 + sqrt(P)/3 + P/6 with the
 controllable phase set to its optimal value.
 """
@@ -18,13 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import chains
 from .errors import ValidationError
 
 #: probability may exceed 1 by at most this much before it is an error
 PROB_SLACK = 1e-9
+#: samples per chunk of a forward scan; bounds the memory of long scans
+SCAN_CHUNK = 65536
+#: most Newton steps spent refining one candidate peak
+NEWTON_STEPS = 8
 
 
 def fidelity_from_probability(p):
@@ -155,39 +161,60 @@ def chain_series(spec):
     return CosineSeries(tuple(freqs.tolist()), tuple((u[0] * u[-1]).tolist()))
 
 
-def refine_peak(series, lo, hi, xatol):
-    """(t, P) at the maximum of P on [lo, hi], located to within ``xatol``."""
-    res = optimize.minimize_scalar(
-        lambda t: -series.probability(t)[0],
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": xatol},
-    )
-    return float(res.x), float(-res.fun)
+def scan_size(series, t_max):
+    """Samples over [0, t_max]: step <= pi/(8 f_max) (4x Nyquist), at least 65."""
+    return max(int(np.ceil(t_max * 8 * series.max_frequency / np.pi)) + 1, 65)
 
 
-def peak_search(series, t_max, refine_tol=1e-9):
-    """Global probability maximum of a cosine series over [0, t_max].
+def scan_peaks(series, t_max, amplitude_cap=None):
+    """Forward scan-and-refine of P(t) = a(t)^2 over [0, t_max].
 
-    Coarse scan with step at most pi/(8 f_max) (4x Nyquist oversampling of
-    the fastest oscillation), then bounded scalar minimization of -P around
-    the best sample.
+    The :func:`scan_size` grid (step h) goes in chunks of SCAN_CHUNK steps
+    that share their boundary samples.  An interior maximum of |a| has
+    a' = 0, so it exceeds its nearest sample by at most
+    delta = sum |c_j| f_j^2 h^2 / 8.  Every local maximum of the sampled |a|
+    (end samples count) with |a_s| + delta >= floor gets Newton steps on
+    a' = 0, clipped to its neighbouring samples, and keeps the better of
+    sample and refined point.  The floor is the chunk's largest |a_s|,
+    capped at ``amplitude_cap``.
 
-    Returns
-    -------
-    (t_star, p_star) : tuple of float
+    Yields ``(times, probs, evaluations)`` per chunk: the refined candidates
+    in time order, their P, and the samples plus refinement evaluations made.
     """
+    n = scan_size(series, t_max)
+    h = t_max / (n - 1)
+    f = np.asarray(series.frequencies, dtype=float)
+    cf = np.asarray(series.coefficients, dtype=float) * f
+    delta = float(np.abs(cf) @ f) * h * h / 8
+    for start in range(0, n - 1, SCAN_CHUNK):
+        grid = t_max * (np.arange(start, min(start + SCAN_CHUNK, n - 1) + 1) / (n - 1))
+        amp = np.abs(series.amplitude(grid))
+        floor = amp.max() if amplitude_cap is None else min(amplitude_cap, amp.max())
+        padded = np.concatenate(([-1.0], amp, [-1.0]))  # ends compare one side
+        local_max = (amp >= padded[:-2]) & (amp >= padded[2:])
+        cand = np.flatnonzero(local_max & (amp + delta >= floor))
+        lo, hi = grid[np.maximum(cand - 1, 0)], grid[np.minimum(cand + 1, grid.size - 1)]
+        t = grid[cand]
+        for steps in range(1, NEWTON_STEPS + 1):
+            # a' = -sum c f sin(f t), a'' = -sum c f^2 cos(f t); the signs cancel
+            d1, d2 = np.sin(np.outer(t, f)) @ cf, np.cos(np.outer(t, f)) @ (cf * f)
+            moved = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0), lo, hi)
+            t, done = moved, np.all(np.abs(moved - t) <= 1e-8 * h)
+            if done:
+                break
+        p, p_sample = series.probability(t), amp[cand] ** 2
+        better = p > p_sample
+        yield (np.where(better, t, grid[cand]), np.where(better, p, p_sample),
+               grid.size + (steps + 1) * cand.size)
+
+
+def peak_search(series, t_max):
+    """(t*, P*) at the global maximum of P over [0, t_max], by :func:`scan_peaks`."""
     if t_max <= 0:
         raise ValidationError(f"t_max must be positive, got {t_max}")
-    fmax = series.max_frequency
-    step = np.pi / (8 * fmax) if fmax > 0 else t_max / 64
-    n = max(int(np.ceil(t_max / step)) + 1, 65)
-    grid = np.linspace(0.0, t_max, n)
-    prob = series.probability(grid)
-    best = int(np.argmax(prob))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, n - 1)]
-    t_star, p_star = refine_peak(series, lo, hi, refine_tol)
-    if prob[best] > p_star:
-        t_star, p_star = float(grid[best]), float(prob[best])
-    return t_star, min(p_star, 1.0)
+    best_t, best_p = 0.0, -1.0
+    for times, probs, _ in scan_peaks(series, t_max):
+        i = int(np.argmax(probs))
+        if probs[i] > best_p:
+            best_t, best_p = float(times[i]), float(probs[i])
+    return best_t, min(best_p, 1.0)

@@ -72,7 +72,10 @@ class OptProblem:
             raise ValidationError(f"k must be >= 0, got {self.k}")
         if self.arrival_time <= 0:
             raise ValidationError(f"arrival time must be positive, got {self.arrival_time}")
-        scenario = Scenario(self.scenario)
+        try:
+            scenario = Scenario(self.scenario)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
         object.__setattr__(self, "scenario", scenario)
         dim = _dimension(scenario, self.k)
         bounds = tuple(tuple(map(float, b)) for b in self.bounds)
@@ -131,6 +134,17 @@ class OptProblem:
 
 _REQUIRED = object()
 
+#: keys an optimize config may carry, at the top level and in its sweep block
+CONFIG_KEYS = {"run", "scenario", "k", "seed", "bounds", "window_max", "T", "T_multiple",
+               "fixed_params", "sweep", "budget", "warm_start"}
+SWEEP_KEYS = {"k", "w", "alpha", "T", "T_multiples"}
+
+
+def _check_keys(config, allowed, where):
+    unknown = sorted(set(config) - allowed)
+    if unknown:
+        raise ValidationError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
 
 def config_field(config, key, kind, default=_REQUIRED):
     """``kind(config[key])``, or ``default`` when the key is absent.
@@ -179,9 +193,10 @@ def problems_from_config(config):
     ``T_multiple`` x N.  A ``sweep`` block expands to one problem per k
     (``sweep.k``, default the config's ``k``), per value of the scenario's
     fixed parameter (``sweep.w`` or ``sweep.alpha``, default none) and per
-    arrival time (``T_multiples`` x N and ``T``, ascending).  A missing or
-    ill-typed key raises :class:`ValidationError`.
+    arrival time (``T_multiples`` x N and ``T``, ascending).  A missing,
+    ill-typed or unknown key raises :class:`ValidationError`.
     """
+    _check_keys(config, CONFIG_KEYS, "optimize config")
     scenario = config_field(config, "scenario", Scenario)
     common = dict(
         scenario=scenario,
@@ -201,6 +216,7 @@ def problems_from_config(config):
         return [OptProblem(k=k, arrival_time=arrival, fixed_params=fixed, **common)]
 
     sweep_cfg = config_field(config, "sweep", dict)
+    _check_keys(sweep_cfg, SWEEP_KEYS, "sweep")
     k_values = config_field(sweep_cfg, "k", lambda ks: [int(k) for k in ks], None)
     if k_values is None:
         k_values = [config_field(config, "k", int)]
@@ -234,9 +250,7 @@ def objective(problem, params):
             raise ValidationError(f"parameter {x} outside bounds ({lo}, {hi})")
     spec = problem.chain(params)
     if problem.window_max:
-        series = dynamics.chain_series(spec)
-        _, p_star = dynamics.peak_search(series, problem.arrival_time, refine_tol=1e-10)
-        return p_star
+        return dynamics.peak_search(dynamics.chain_series(spec), problem.arrival_time)[1]
     trace = dynamics.transfer_probability(spec, [problem.arrival_time])
     return float(trace.probability[0])
 
@@ -356,19 +370,6 @@ def sweep(problems, budget, warm_start=True):
         except Exception as exc:  # error isolation across entries
             results.append((None, f"{type(exc).__name__}: {exc}"))
             continue
-        prev = carries.get(key)
-        if warm_start and prev is not None:
-            prev_p = objective(problem, np.clip(prev, [b[0] for b in problem.bounds],
-                                                [b[1] for b in problem.bounds]))
-            if prev_p > res.best_p:
-                res = OptResult(
-                    problem=problem,
-                    best_params=tuple(float(x) for x in prev),
-                    best_p=prev_p,
-                    neg_log_infidelity=neg_log_infidelity(prev_p),
-                    evaluations=res.evaluations + 1,
-                    trajectory=res.trajectory,
-                )
         carries[key] = np.asarray(res.best_params)
         results.append((res, None))
     return results

@@ -2,11 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qstc import chains, cli, design, spectral
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture()
@@ -209,6 +216,33 @@ class TestOptimizeCommand:
             cfg.write_bytes(content)
         assert run(["optimize", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [({"budjet": 5}, "budjet"), ({"sweep": {"w": [0.6], "T_multipels": [5]}}, "T_multipels")],
+    )
+    def test_unknown_key_rejected(self, workdir, overrides, key):
+        cfg = self.config(workdir / "cfg.json", **overrides)
+        assert run(["optimize", "--config", cfg]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("ValidationError") and key in manifest["error"]
+
+    def test_runs_without_scipy(self, workdir):
+        cfg = self.config(workdir / "cfg.json", budget=150, window_max=True)
+        spec_file = write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from qstc import cli\n"
+            f"assert cli.main(['optimize', '--config', {cfg!r}]) == 0\n"
+            "assert cli.main(['design', 'pgt', '--spec', "
+            f"{spec_file!r}, '--epsilon', '0.05', '--tmax', '1000']) == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=workdir, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "best P" in proc.stdout and "reached" in proc.stdout
+
 
 class TestGlueCommand:
     def test_round_trip(self, workdir):
@@ -283,10 +317,21 @@ class TestManifest:
         manifest = json.loads((workdir / "qstc-manifest.json").read_text())
         assert manifest["seed"] == 4
 
-    def test_threads_flag(self, workdir):
+    def test_threads_flag(self, workdir, monkeypatch):
+        for var in THREAD_VARS:  # restored after the test, whatever the flag sets
+            monkeypatch.setenv(var, "2")
         spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
         assert run(["--threads", "1", "spectrum", spec_file]) == 0
         assert run(["--threads", "0", "spectrum", spec_file]) == 2
+
+    def test_threads_flag_overrides_env(self, workdir, monkeypatch):
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "8")
+        spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
+        assert run(["--threads", "1", "spectrum", spec_file]) == 0
+        assert [os.environ[var] for var in THREAD_VARS] == ["1"] * 3
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["inputs"]["threads"] == 1
 
     def test_threads_env_not_integer(self, workdir, monkeypatch):
         monkeypatch.setenv("QSTC_THREADS", "many")

@@ -180,6 +180,30 @@ class TestPgtSearch:
         assert result.reached
         assert 1.0 - series.probability(result.t_found)[0] < 0.05
 
+    def test_chunk_boundaries_change_nothing(self, monkeypatch):
+        series = dynamics.chain_series(chains.homogeneous_chain(17))
+        whole = design.pgt_search(series, 0.05, 1000.0)
+        monkeypatch.setattr(dynamics, "SCAN_CHUNK", 7)
+        chunked = design.pgt_search(series, 0.05, 1000.0)
+        assert chunked.reached
+        assert chunked.t_found == pytest.approx(whole.t_found, rel=1e-12)
+        assert chunked.best_infidelity == pytest.approx(whole.best_infidelity, abs=1e-15)
+
+    def test_best_seen_without_hit(self):
+        series = dynamics.chain_series(design.dimerized_chain(0.8, 2.0))
+        result = design.pgt_search(series, 1e-3, 110.0)
+        assert not result.reached
+        assert result.best_infidelity == pytest.approx(
+            1.0 - dynamics.peak_search(series, 110.0)[1], abs=1e-12
+        )
+
+    def test_constant_series(self):
+        series = dynamics.CosineSeries((0.0,), (0.5,))
+        result = design.pgt_search(series, 0.5, 10.0)
+        assert not result.reached
+        assert result.best_infidelity == 0.75
+        assert result.scan_budget >= dynamics.scan_size(series, 10.0)
+
     def test_input_validation(self):
         series = design.probability_closed_form_pst("n8", 1)
         with pytest.raises(ValidationError):

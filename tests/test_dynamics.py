@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qstc import chains, dynamics
+from qstc import chains, design, dynamics
 from qstc.errors import ValidationError
 
 SQRT3 = math.sqrt(3.0)
@@ -212,6 +212,47 @@ class TestPeakSearch:
         series = dynamics.CosineSeries((1.0,), (1.0,))
         with pytest.raises(ValidationError):
             dynamics.peak_search(series, 0.0)
+
+    def test_refines_every_competing_peak(self):
+        # the best coarse sample sits under a lower peak than the global one
+        spec = design.dimerized_chain(0.8, 2.0)
+        t_star, p_star = dynamics.peak_search(dynamics.chain_series(spec), 110.0)
+        assert p_star >= 0.650896
+        assert 0.0 <= t_star <= 110.0
+
+    def test_peak_just_before_window_end(self):
+        series = dynamics.CosineSeries((1.0, 2.0), (-0.5, 0.5))
+        t_star, p_star = dynamics.peak_search(series, math.pi + 0.02)
+        assert abs(t_star - math.pi) < 1e-6
+        assert p_star > 1.0 - 1e-12
+
+    def test_constant_series(self):
+        series = dynamics.CosineSeries((0.0,), (0.5,))
+        assert dynamics.peak_search(series, 10.0)[1] == 0.25
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_cells=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        t_max=st.floats(min_value=0.5, max_value=300.0),
+    )
+    def test_not_below_finer_grid_random_chain(self, n_cells, seed, t_max):
+        rng = np.random.default_rng(seed)
+        couplings = rng.uniform(0.05, 4.0, 3 * n_cells + 1)
+        snap = rng.random(couplings.size) < 0.3
+        couplings[snap] = rng.choice([0.05, 4.0], int(snap.sum()))
+        spec = chains.ChainSpec(
+            n_cells=n_cells,
+            t=couplings[:n_cells],
+            w=couplings[n_cells : 2 * n_cells],
+            g=couplings[2 * n_cells :],
+        )
+        series = dynamics.chain_series(spec)
+        t_star, p_star = dynamics.peak_search(series, t_max)
+        fine = np.linspace(0.0, t_max, 16 * (dynamics.scan_size(series, t_max) - 1) + 1)
+        assert p_star >= series.probability(fine).max() - 1e-12
+        assert 0.0 <= t_star <= t_max
+        assert p_star == pytest.approx(float(series.probability(t_star)[0]), abs=1e-15)
 
 
 class TestP17Oracle:

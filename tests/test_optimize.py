@@ -44,6 +44,10 @@ class TestOptProblem:
         with pytest.raises(ValidationError):
             small_problem(fixed_params={})
 
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValidationError, match="nope"):
+            small_problem(scenario="nope")
+
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValidationError):
             small_problem(bounds=((2.0, 1.0),))
@@ -217,6 +221,17 @@ class TestProblemsFromConfig:
         config = {key: value for key, value in config.items() if value is not None}
         with pytest.raises(ValidationError):
             optimize.problems_from_config(config)
+
+    @pytest.mark.parametrize(
+        "scenario, k, axis, value",
+        [("fixed_w_opt_g", 2, "w", 0.4), ("alpha_opt_tg", 3, "alpha", 2.5),
+         ("full_k_plus_4", 4, "k", 4)],
+    )
+    def test_bench_style_config(self, scenario, k, axis, value):
+        config = {"scenario": scenario, "k": k, "seed": 12345, "budget": 150,
+                  "window_max": True, "warm_start": True,
+                  "sweep": {axis: [value], "T_multiples": [5, 10]}}
+        assert len(optimize.problems_from_config(config)) == 2
 
     def test_unreadable_config_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
