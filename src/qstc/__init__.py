@@ -3,8 +3,9 @@
 Submodules
 ----------
 chains    chain specifications and Hamiltonian assembly
-spectral  eigendecomposition, structural lemma checks, glueing, sequences
-exact     integer characteristic polynomials and the factor-degree column
+spectral  eigendecomposition, structural lemma checks, glueing
+exact     integer characteristic polynomials, the factor-degree column and
+          the solvable-family catalogue
 dynamics  time evolution, transfer probability, cosine series
 design    PST inverse designs, dimerized bounds, PGT search
 optimize  deterministic differential-evolution coupling optimization

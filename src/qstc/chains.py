@@ -11,10 +11,9 @@ The graph is bipartite with the A1 qubits, the two corners among them, on one
 side; :func:`jacobi_matrix` is H^2 restricted to them, the tridiagonal matrix
 that carries corner-to-corner transfer.
 
-Two site numberings are supported: ``cell`` order (cell by cell, pendant after
-its backbone qubit) and ``symmetric`` order (corner pendants first, then the
-backbone left to right, then the interior pendants), which makes the mirror
-symmetry of a symmetric chain explicit.
+Sites are ordered cell by cell, each pendant after its backbone qubit
+(:func:`cell_index`).  Any other order would only permute H: it changes no
+eigenvalue, and J does not depend on it.
 """
 
 from __future__ import annotations
@@ -22,19 +21,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ValidationError
-
-# Site descriptor: (qubit type, 1-based cell index).
-Site = tuple
-
-
-class Numbering(str, Enum):
-    CELL = "cell"
-    SYMMETRIC = "symmetric"
 
 
 def _check_couplings(name, values, expected_len):
@@ -60,7 +50,6 @@ class ChainSpec:
     t: tuple
     w: tuple
     g: tuple
-    numbering: Numbering = Numbering.CELL
 
     def __post_init__(self):
         if self.n_cells < 1:
@@ -68,7 +57,6 @@ class ChainSpec:
         object.__setattr__(self, "t", tuple(float(x) for x in self.t))
         object.__setattr__(self, "w", tuple(float(x) for x in self.w))
         object.__setattr__(self, "g", tuple(float(x) for x in self.g))
-        object.__setattr__(self, "numbering", Numbering(self.numbering))
         _check_couplings("t", self.t, self.n_cells)
         _check_couplings("w", self.w, self.n_cells)
         _check_couplings("g", self.g, self.n_cells + 1)
@@ -82,9 +70,6 @@ class ChainSpec:
     def k(self):
         """Symmetric-chain parameter, N = 3k + 5."""
         return self.n_cells - 1
-
-    def with_numbering(self, numbering):
-        return ChainSpec(self.n_cells, self.t, self.w, self.g, Numbering(numbering))
 
 
 @dataclass(frozen=True)
@@ -119,15 +104,9 @@ class SymmetricChainSpec:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense one-excitation Hamiltonian in its chain's numbering.
-
-    ``corner_sites`` are the 0-based indices of the two extremal backbone
-    qubits (the sender and receiver of the transfer protocol) under that
-    numbering.
-    """
+    """Dense one-excitation Hamiltonian in cell order."""
 
     matrix: np.ndarray
-    corner_sites: tuple
 
     def toarray(self):
         return self.matrix
@@ -138,19 +117,12 @@ class HamiltonianMatrix:
 # ---------------------------------------------------------------------------
 
 
-def sites(spec):
-    """All site descriptors of a chain: (type, cell) with 1-based cells."""
-    out = []
-    for i in range(1, spec.n_cells + 2):
-        out.append(("A1", i))
-        out.append(("A2", i))
-        if i <= spec.n_cells:
-            out.append(("B", i))
-    return out
-
-
 def edges(spec):
-    """Weighted edge list [(site, site, coupling)] of the chain graph."""
+    """Weighted edge list [(site, site, coupling)] of the chain graph.
+
+    A site is (qubit type, 1-based cell index), e.g. ("A1", 1) for the left
+    corner.
+    """
     out = []
     for i in range(1, spec.n_cells + 2):
         out.append((("A1", i), ("A2", i), spec.g[i - 1]))
@@ -161,7 +133,7 @@ def edges(spec):
 
 
 def cell_index(site, n_cells):
-    """0-based index of a site under the cell numbering."""
+    """0-based index of a site in cell order."""
     kind, i = site
     base = 3 * (i - 1)
     if kind == "A1":
@@ -175,33 +147,6 @@ def cell_index(site, n_cells):
     raise ValidationError(f"unknown site type {kind!r}")
 
 
-def symmetric_index(site, n_cells):
-    """0-based index of a site under the symmetric numbering.
-
-    Order: corner pendant A2_1; backbone A1_1, B_1, ..., A1_{k+2}; corner
-    pendant A2_{k+2}; interior pendants A2_2 ... A2_{k+1}.
-    """
-    kind, i = site
-    k = n_cells - 1
-    if kind == "A2":
-        if i == 1:
-            return 0
-        if i == n_cells + 1:
-            return 2 * k + 4
-        return 2 * k + 4 + (i - 1)
-    if kind == "A1":
-        return 1 + 2 * (i - 1)
-    if kind == "B":
-        return 2 + 2 * (i - 1)
-    raise ValidationError(f"unknown site type {kind!r}")
-
-
-def site_index(site, spec):
-    if spec.numbering is Numbering.CELL:
-        return cell_index(site, spec.n_cells)
-    return symmetric_index(site, spec.n_cells)
-
-
 def mirror_site(site, n_cells):
     """Image of a site under the spatial reflection of the chain."""
     kind, i = site
@@ -210,30 +155,19 @@ def mirror_site(site, n_cells):
     return (kind, n_cells + 2 - i)
 
 
-def corner_sites(spec):
-    """0-based (sender, receiver) indices under the spec's numbering.
-
-    The corners are the two extremal backbone qubits A1_1 and A1_last, the
-    endpoints of the transfer protocol.
-    """
-    a = site_index(("A1", 1), spec)
-    b = site_index(("A1", spec.n_cells + 1), spec)
-    return (a, b)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
 
 def build_hamiltonian(spec):
-    """One-excitation Hamiltonian of a chain under its requested numbering."""
+    """One-excitation Hamiltonian of a chain in cell order."""
     h = np.zeros((spec.n, spec.n))
     for a, b, c in edges(spec):
-        ia, ib = site_index(a, spec), site_index(b, spec)
+        ia, ib = cell_index(a, spec.n_cells), cell_index(b, spec.n_cells)
         h[ia, ib] = h[ib, ia] = c
     h.flags.writeable = False  # toarray() hands out this array itself
-    return HamiltonianMatrix(matrix=h, corner_sites=corner_sites(spec))
+    return HamiltonianMatrix(matrix=h)
 
 
 def jacobi_matrix(spec):
@@ -252,18 +186,6 @@ def jacobi_matrix(spec):
     diag[1:] += w**2
     off = t * w
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def numbering_permutation(spec):
-    """Permutation pi with pi[cell index] = symmetric index.
-
-    Conjugating the cell-order matrix by the associated permutation matrix
-    yields the symmetric-order matrix.
-    """
-    pi = np.empty(spec.n, dtype=int)
-    for s in sites(spec):
-        pi[cell_index(s, spec.n_cells)] = symmetric_index(s, spec.n_cells)
-    return pi
 
 
 def backbone_sequence(spec):
@@ -287,7 +209,7 @@ def is_mirror_symmetric(spec, rtol=0.0):
     )
 
 
-def expand_symmetric(spec, numbering=Numbering.CELL):
+def expand_symmetric(spec):
     """Expand a :class:`SymmetricChainSpec` into a full :class:`ChainSpec`."""
     k = spec.k
     seq = list(spec.v) + list(spec.v[::-1])
@@ -299,10 +221,10 @@ def expand_symmetric(spec, numbering=Numbering.CELL):
         # Odd k: the central pendant is self-mirror and reuses the innermost
         # independent value.
         g = tuple(spec.g) + (spec.g[-1],) + tuple(spec.g[::-1])
-    return ChainSpec(n_cells=k + 1, t=t, w=w, g=g, numbering=numbering)
+    return ChainSpec(n_cells=k + 1, t=t, w=w, g=g)
 
 
-def homogeneous_chain(n, coupling=1.0, numbering=Numbering.CELL):
+def homogeneous_chain(n, coupling=1.0):
     """Chain of length ``n`` (n = 2 mod 3, n >= 5) with all couplings equal."""
     if n < 5 or n % 3 != 2:
         raise ValidationError(f"homogeneous chain length must be 2 mod 3 and >= 5, got {n}")
@@ -313,7 +235,6 @@ def homogeneous_chain(n, coupling=1.0, numbering=Numbering.CELL):
         t=(c,) * n_cells,
         w=(c,) * n_cells,
         g=(c,) * (n_cells + 1),
-        numbering=numbering,
     )
 
 
@@ -330,16 +251,17 @@ def spec_to_dict(spec):
         "t": list(spec.t),
         "w": list(spec.w),
         "g": list(spec.g),
-        "numbering": spec.numbering.value,
     }
 
 
 def spec_from_dict(data):
     """Parse the JSON chain-spec schema.
 
-    Accepts the full form {"n_cells", "t", "w", "g", "numbering"}, the
-    symmetric form {"symmetric": {"k", "v", "g"}} and the homogeneous
-    shorthand {"homogeneous": {"N", "coupling"}}.
+    Accepts the full form {"n_cells", "t", "w", "g"}, the symmetric form
+    {"symmetric": {"k", "v", "g"}} and the homogeneous shorthand
+    {"homogeneous": {"N", "coupling"}}.  The full form may also carry
+    ``"numbering": "cell"``, which older ``glue --out`` files hold; cell order
+    is the only numbering.
     """
     if not isinstance(data, dict):
         raise ValidationError("chain spec must be a JSON object")
@@ -356,13 +278,14 @@ def spec_from_dict(data):
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad symmetric chain spec: {exc}") from exc
         return expand_symmetric(sym)
+    if data.get("numbering", "cell") != "cell":
+        raise ValidationError(f"unknown numbering {data['numbering']!r}; only 'cell' exists")
     try:
         return ChainSpec(
             n_cells=int(data["n_cells"]),
             t=data["t"],
             w=data["w"],
             g=data["g"],
-            numbering=data.get("numbering", "cell"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad chain spec: {exc}") from exc

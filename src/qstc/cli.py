@@ -61,11 +61,18 @@ def _cmd_spectrum(args):
     spec = chains.load_spec(args.spec_file)
     h = chains.build_hamiltonian(spec)
     spectrum = spectral.decompose(h)
+    tags = exact_payload = None
+    if args.exact:
+        from .errors import UnsupportedInputError
+
+        if any(c != 1.0 for c in spec.t + spec.w + spec.g):
+            raise UnsupportedInputError("--exact needs a homogeneous unit-coupling chain")
+        exact_payload = exact.char_poly_report(spec.k).to_dict()
+        tags = exact.sequence_tags(spec.k)
     payload = {
         "N": spec.n,
         "k": spec.k,
-        "numbering": spec.numbering.value,
-        "spectrum": spectral.spectrum_to_dict(spectrum),
+        "spectrum": spectral.spectrum_to_dict(spectrum, tags),
     }
     if args.verify_lemmas:
         report = spectral.verify_lemmas(spec)
@@ -77,11 +84,7 @@ def _cmd_spectrum(args):
             "violations": {k: str(v) for k, v in report.violations.items()},
         }
     if args.exact:
-        from .errors import UnsupportedInputError
-
-        if any(c != 1.0 for c in spec.t + spec.w + spec.g):
-            raise UnsupportedInputError("--exact needs a homogeneous unit-coupling chain")
-        payload["exact"] = exact.char_poly_report(spec.k).to_dict()
+        payload["exact"] = exact_payload
     outputs = []
     if args.out:
         _write_json(payload, args.out)
@@ -266,7 +269,8 @@ def build_parser():
         description="Decorated transmon-chain spectra, state transfer and coupling design",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (default: QSTC_THREADS or unlimited)")
+                        help="cap BLAS worker threads (default: QSTC_THREADS or unlimited); "
+                             "takes effect only in a fresh process, before numpy is loaded")
     parser.add_argument("--manifest", default=None,
                         help="run-manifest path (default: qstc-manifest.json)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,7 +339,6 @@ def _classify_error(exc):
         (
             errors.ValidationError,
             errors.StructuralError,
-            errors.UnsupportedSequenceError,
             errors.UnsupportedInputError,
             OSError,  # inputs are read at typed boundaries; this is an unwritable --out
         ),

@@ -236,11 +236,6 @@ def dimerized_series(w, g):
     )
 
 
-def dimerized_probability_exact(w, g, times):
-    """Evaluate the dimerized closed form over a time grid as a trace."""
-    return dimerized_series(w, g).trace(np.asarray(times, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # pretty good transfer search
 # ---------------------------------------------------------------------------

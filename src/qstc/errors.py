@@ -25,9 +25,5 @@ class InfeasibleDesignError(QstcError):
         self.interval = interval
 
 
-class UnsupportedSequenceError(QstcError):
-    """Chain length does not belong to a catalogued solvable sequence."""
-
-
 class UnsupportedInputError(QstcError):
     """Input outside the supported domain (e.g. non-integer couplings)."""

@@ -8,13 +8,17 @@ A homogeneous chain with N = 3k+5 qubits has characteristic polynomial
 x^(k+1) * q(x^2) where q is monic of degree k+2 with integer coefficients;
 ``reduced_charpoly_homogeneous`` produces q directly as the characteristic
 polynomial of the A1-sublattice Jacobi matrix :func:`chains.jacobi_matrix`,
-which carries the nonzero part of the spectrum, while ``char_poly_exact``
-computes the full polynomial of any integer-coupling chain by the
-Faddeev-LeVerrier recursion.
+which carries the nonzero part of the spectrum.  (The test suite checks it
+against the full Faddeev-LeVerrier polynomial of H.)
 
 ``char_poly_report`` factors q over the rationals once and certifies the
 result against the cyclotomic prediction ``cyclotomic_factor_degrees``; the
 published degree column itself comes from ``table_degree``.
+
+The solvable families S5, S8, S14 and S44 are catalogued here once: their
+base spectra in ``_SEQUENCE_BASES``, the family tag of a length in
+``classify_sequence`` and the nested-radical eigenvalues of a catalogued
+length in ``sequence_tags``, which ``spectrum --exact`` writes.
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 import sympy as sy
 
 from . import chains
-from .errors import NumericalError, StructuralError, UnsupportedInputError, ValidationError
+from .errors import NumericalError, ValidationError
 
 DEFAULT_K_CAP = 50
 HARD_K_CAP = 100
@@ -53,73 +56,9 @@ def poly_mul(a, b):
     return out
 
 
-def poly_eval(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials
 # ---------------------------------------------------------------------------
-
-
-def _integer_matrix(h):
-    mat = h.toarray() if isinstance(h, chains.HamiltonianMatrix) else np.asarray(h)
-    rounded = np.rint(mat)
-    if not np.array_equal(rounded, mat):
-        raise UnsupportedInputError("exact characteristic polynomial needs integer couplings")
-    n = mat.shape[0]
-    return [[int(rounded[i, j]) for j in range(n)] for i in range(n)]
-
-
-def char_poly_exact(h):
-    """Exact char poly det(xI - H) of an integer matrix, monic, low-first.
-
-    Faddeev-LeVerrier with big integers; every division in the recursion is
-    exact.
-    """
-    a = _integer_matrix(h)
-    n = len(a)
-    if n == 0:
-        raise ValidationError("empty matrix")
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # identity
-    for step in range(1, n + 1):
-        prod = [
-            [sum(a[i][l] * m[l][j] for l in range(n) if a[i][l]) for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(prod[i][i] for i in range(n))
-        if trace % step != 0:
-            raise NumericalError("Faddeev-LeVerrier divisibility failure")
-        c = -trace // step
-        coeffs[n - step] = c
-        for i in range(n):
-            prod[i][i] += c
-        m = prod
-    return coeffs
-
-
-def reduce_even(p, k):
-    """Divide out x^(k+1) and substitute y = x^2.
-
-    Fails with :class:`StructuralError` when the polynomial is not of the form
-    x^(k+1) * q(x^2), which signals a broken null-multiplicity or pairing
-    property upstream.
-    """
-    p = poly_trim(p)
-    if len(p) <= k + 1 or any(c != 0 for c in p[: k + 1]):
-        raise StructuralError(f"polynomial is not divisible by x^{k + 1}")
-    shifted = p[k + 1:]
-    if any(c != 0 for c in shifted[1::2]):
-        raise StructuralError("quotient is not even in x")
-    q = shifted[0::2]
-    if q[-1] < 0:
-        q = [-c for c in q]
-    return poly_trim(q)
 
 
 def reduced_charpoly_homogeneous(k):
@@ -132,7 +71,7 @@ def reduced_charpoly_homogeneous(k):
     """
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    jac = _integer_matrix(chains.jacobi_matrix(chains.homogeneous_chain(3 * k + 5)))
+    jac = chains.jacobi_matrix(chains.homogeneous_chain(3 * k + 5)).astype(int).tolist()
     prev = [1]
     cur = [-jac[0][0], 1]
     for j in range(1, len(jac)):
@@ -201,16 +140,84 @@ def table_degree(k):
     return worst
 
 
+_SQRT5 = sy.sqrt(5)
+
+# Base values of theta (squared eigenvalue minus 3) for the shortest chain of
+# each catalogued family, keyed by its length N0.
+_SEQUENCE_BASES = {
+    5: [sy.Integer(0), sy.Integer(-2)],
+    8: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)],
+    14: [
+        sy.Integer(-2),
+        sy.Rational(-1, 2) + _SQRT5 / 2,
+        sy.Rational(-1, 2) - _SQRT5 / 2,
+        sy.Rational(1, 2) + _SQRT5 / 2,
+        sy.Rational(1, 2) - _SQRT5 / 2,
+    ],
+    # For N=44 the eight deepest values carry linked signs: the sign inside
+    # the inner radical is opposite to the sign of the sqrt(5) term.
+    44: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)]
+    + [sy.Rational(s0, 2) + s1 * _SQRT5 / 2 for s0 in (-1, 1) for s1 in (1, -1)]
+    + [
+        s0 * (sy.Integer(1) + s1 * _SQRT5 + s2 * sy.sqrt(30 - s1 * 6 * _SQRT5)) / 4
+        for s0 in (1, -1)
+        for s1 in (1, -1)
+        for s2 in (1, -1)
+    ],
+}
+
+
+def _family(k):
+    """(N0, level) with 3k+5 = 2^level*(N0+1)-1 for a catalogued N0, else None."""
+    n = 3 * k + 5
+    for n0 in _SEQUENCE_BASES:
+        level, length = 0, n0
+        while length < n:
+            level, length = level + 1, 2 * length + 1
+        if length == n:
+            return n0, level
+    return None
+
+
 def classify_sequence(k):
     """Family tag ('S5', ...) if 3k+5 = 2^m*(N0+1)-1 for a catalogued N0."""
-    n = 3 * k + 5
-    for n0 in (5, 8, 14, 44):
-        length = n0
-        while length <= n:
-            if length == n:
-                return f"S{n0}"
-            length = 2 * length + 1
-    return None
+    family = _family(k)
+    return None if family is None else f"S{family[0]}"
+
+
+def _dedupe(values, tol=1e-12):
+    out = []
+    floats = []
+    for expr in values:
+        x = float(expr.evalf(30))
+        if any(abs(x - y) < tol for y in floats):
+            continue
+        out.append(expr)
+        floats.append(x)
+    return out
+
+
+def sequence_tags(k):
+    """Exact eigenvalues of the homogeneous chain with N = 3k+5 qubits.
+
+    Returns the N eigenvalues as nested-radical strings in ascending order
+    (negatives, the k+1 zeros, positives), or None when 3k+5 belongs to no
+    catalogued family.  The eigenvalues are +/- sqrt(3 + theta) with theta
+    running over the spectrum of J - 3I (:func:`chains.jacobi_matrix`); one
+    glueing step doubles that matrix and extends theta by +/- sqrt(2 + theta).
+    """
+    family = _family(k)
+    if family is None:
+        return None
+    n0, level = family
+    thetas = list(_SEQUENCE_BASES[n0])
+    for _ in range(level):
+        thetas = _dedupe(thetas + [s * sy.sqrt(2 + th) for th in thetas for s in (1, -1)])
+    if len(thetas) != k + 2:
+        raise NumericalError(f"S{n0} recursion gave {len(thetas)} distinct values for k={k}")
+    positives = sorted((sy.sqrt(3 + th) for th in thetas), key=lambda e: float(e.evalf(30)))
+    tags = [sy.sstr(e) for e in positives]
+    return [f"-{t}" for t in reversed(tags)] + ["0"] * (k + 1) + tags
 
 
 @dataclass(frozen=True)

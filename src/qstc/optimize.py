@@ -192,9 +192,11 @@ def problems_from_config(config):
     Without a ``sweep`` block the config is one problem at ``T``, or at
     ``T_multiple`` x N.  A ``sweep`` block expands to one problem per k
     (``sweep.k``, default the config's ``k``), per value of the scenario's
-    fixed parameter (``sweep.w`` or ``sweep.alpha``, default none) and per
-    arrival time (``T_multiples`` x N and ``T``, ascending).  A missing,
-    ill-typed or unknown key raises :class:`ValidationError`.
+    fixed parameter (``sweep.w`` for fixed_w_opt_g, ``sweep.alpha`` for
+    alpha_opt_tg, default none) and per arrival time (``T_multiples`` x N and
+    ``T``, ascending); every problem carries the top-level ``fixed_params``
+    with the swept value in place.  A missing, ill-typed or unknown key, or a
+    sweep key the scenario does not read, raises :class:`ValidationError`.
     """
     _check_keys(config, CONFIG_KEYS, "optimize config")
     scenario = config_field(config, "scenario", Scenario)
@@ -204,6 +206,7 @@ def problems_from_config(config):
         bounds=config_field(config, "bounds", _bounds, (DEFAULT_BOUNDS,)),
         window_max=config_field(config, "window_max", bool, False),
     )
+    fixed = config_field(config, "fixed_params", _fixed_params, {})
     if "sweep" not in config:
         k = config_field(config, "k", int)
         if "T" in config:
@@ -212,15 +215,15 @@ def problems_from_config(config):
             arrival = config_field(config, "T_multiple", float) * (3 * k + 5)
         else:
             raise ValidationError("config needs 'T' or 'T_multiple'")
-        fixed = config_field(config, "fixed_params", _fixed_params, {})
         return [OptProblem(k=k, arrival_time=arrival, fixed_params=fixed, **common)]
 
     sweep_cfg = config_field(config, "sweep", dict)
-    _check_keys(sweep_cfg, SWEEP_KEYS, "sweep")
+    fixed_name = {Scenario.FIXED_W_OPT_G: "w", Scenario.ALPHA_OPT_TG: "alpha"}.get(scenario)
+    unread = {"w", "alpha"} - {fixed_name}
+    _check_keys(sweep_cfg, SWEEP_KEYS - unread, f"{scenario.value} sweep")
     k_values = config_field(sweep_cfg, "k", lambda ks: [int(k) for k in ks], None)
     if k_values is None:
         k_values = [config_field(config, "k", int)]
-    fixed_name = "w" if scenario == Scenario.FIXED_W_OPT_G else "alpha"
     fixed_values = config_field(sweep_cfg, fixed_name, _floats, [None])
     multiples = config_field(sweep_cfg, "T_multiples", _floats, [])
     times = config_field(sweep_cfg, "T", _floats, [])
@@ -230,10 +233,10 @@ def problems_from_config(config):
     for k in k_values:
         t_values = sorted([m * (3 * k + 5) for m in multiples] + times)
         for fv in fixed_values:
+            swept = fixed if fv is None else {**fixed, fixed_name: fv}
             for t_val in t_values:
-                fixed = {} if fv is None else {fixed_name: fv}
                 problems.append(
-                    OptProblem(k=k, arrival_time=t_val, fixed_params=fixed, **common)
+                    OptProblem(k=k, arrival_time=t_val, fixed_params=dict(swept), **common)
                 )
     return problems
 

@@ -1,4 +1,4 @@
-"""Eigen-decomposition, glueing, and exactly solvable sequence spectra.
+"""Eigen-decomposition, glueing and the spectral self-checks.
 
 The structural facts used throughout:
 
@@ -6,16 +6,12 @@ The structural facts used throughout:
 * the nonzero eigenvalues come in +/- pairs (the chain graph is bipartite);
 * glueing two mirror copies of an odd-length chain through one extra qubit
   produces a chain of length 2N+1 whose spectrum contains the parent's, the
-  N+1 new eigenvalues being those of an (N+1)x(N+1) bordered block;
-* for homogeneous chains the glueing recursion produces families of lengths
-  {N0, 2*N0+1, 4*N0+3, ...} whose eigenvalues are nested square roots.
+  N+1 new eigenvalues being those of an (N+1)x(N+1) bordered block.
 
 The squared nonzero eigenvalues are the eigenvalues of the (k+2)x(k+2)
-Jacobi matrix :func:`chains.jacobi_matrix`.  For a homogeneous chain they are
-3 + theta with theta running over the spectrum of J - 3I, the tridiagonal
-matrix with unit off-diagonal and diagonal (-1, 0, ..., 0, -1); one glueing
-step doubles that matrix and extends its spectrum by {+/- sqrt(2+theta)}.  The
-catalogued families evaluate that recursion symbolically.
+Jacobi matrix :func:`chains.jacobi_matrix`.  The nested-radical spectra of the
+homogeneous families that glueing generates live in :mod:`qstc.exact`
+(``sequence_tags``).
 """
 
 from __future__ import annotations
@@ -24,11 +20,10 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sy
 
 from . import chains
-from .chains import ChainSpec, HamiltonianMatrix, Numbering
-from .errors import NumericalError, StructuralError, UnsupportedSequenceError, ValidationError
+from .chains import ChainSpec, HamiltonianMatrix
+from .errors import NumericalError, StructuralError, ValidationError
 
 # |lambda| < ZERO_TOL_FACTOR * max|lambda| classifies a null eigenvalue.
 ZERO_TOL_FACTOR = 1e-9
@@ -39,14 +34,12 @@ class Spectrum:
     """Eigen-decomposition of a one-excitation Hamiltonian.
 
     ``eigenvalues`` ascending; ``eigenvectors[:, j]`` is the j-th orthonormal
-    eigenvector; ``paired`` records whether the nonzero eigenvalues occur in
-    +/- pairs.
+    eigenvector.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     null_multiplicity: int
-    paired: bool
 
 
 def _fingerprint(h):
@@ -60,16 +53,10 @@ def _dense(h):
     return np.asarray(h, dtype=float)
 
 
-def _null_count(eigenvalues, tol=None):
+def _null_count(eigenvalues):
     scale = float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
-    if tol is None:
-        tol = ZERO_TOL_FACTOR * max(scale, 1.0)
+    tol = ZERO_TOL_FACTOR * max(scale, 1.0)
     return int(np.count_nonzero(np.abs(eigenvalues) < tol))
-
-
-def _is_paired(eigenvalues, tol=1e-10):
-    lam = np.sort(eigenvalues)
-    return bool(np.max(np.abs(lam + lam[::-1])) < tol)
 
 
 def decompose(h):
@@ -85,15 +72,7 @@ def decompose(h):
         eigenvalues=lam,
         eigenvectors=vec,
         null_multiplicity=_null_count(lam),
-        paired=_is_paired(lam),
     )
-
-
-def null_multiplicity(h, tol=None):
-    """Number of eigenvalues below ``tol`` in magnitude (k+1 for any chain)."""
-    mat = _dense(h)
-    lam = np.linalg.eigvalsh(mat)
-    return _null_count(lam, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +133,7 @@ def glue(parent, bridge_v):
     n = parent.n
     k = parent.k
     order = glue_order(parent)
-    idx = [chains.site_index(s, parent) for s in order]
+    idx = [chains.cell_index(s, parent.n_cells) for s in order]
     h_p = chains.build_hamiltonian(parent).toarray()[np.ix_(idx, idx)]
 
     seq = chains.backbone_sequence(parent)
@@ -164,7 +143,6 @@ def glue(parent, bridge_v):
         t=tuple(child_seq[0::2]),
         w=tuple(child_seq[1::2]),
         g=tuple(parent.g) + tuple(parent.g[::-1]),
-        numbering=parent.numbering,
     )
 
     block_a = np.zeros((n + 1, n + 1))
@@ -190,7 +168,7 @@ def glue(parent, bridge_v):
     )
     q = np.zeros((child.n, child.n))
     for pos, site in enumerate(child_order):
-        q[chains.site_index(site, child), pos] = 1.0
+        q[chains.cell_index(site, child.n_cells), pos] = 1.0
     transform = q @ d_block
 
     return GlueResult(child=child, block_a=block_a, transform=transform, parent_glue=h_p)
@@ -272,133 +250,12 @@ def verify_lemmas(spec, tol=1e-10, bridge_v=1.0):
     )
 
 
-# ---------------------------------------------------------------------------
-# exactly solvable sequences
-# ---------------------------------------------------------------------------
-
-_SQRT5 = sy.sqrt(5)
-
-# Base values of theta (squared eigenvalue minus 3) for the shortest chain of
-# each catalogued family.
-_SEQUENCE_BASES = {
-    5: [sy.Integer(0), sy.Integer(-2)],
-    8: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)],
-    14: [
-        sy.Integer(-2),
-        sy.Rational(-1, 2) + _SQRT5 / 2,
-        sy.Rational(-1, 2) - _SQRT5 / 2,
-        sy.Rational(1, 2) + _SQRT5 / 2,
-        sy.Rational(1, 2) - _SQRT5 / 2,
-    ],
-    # For N=44 the eight deepest values carry linked signs: the sign inside
-    # the inner radical is opposite to the sign of the sqrt(5) term.
-    44: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)]
-    + [sy.Rational(s0, 2) + s1 * _SQRT5 / 2 for s0 in (-1, 1) for s1 in (1, -1)]
-    + [
-        s0 * (sy.Integer(1) + s1 * _SQRT5 + s2 * sy.sqrt(30 - s1 * 6 * _SQRT5)) / 4
-        for s0 in (1, -1)
-        for s1 in (1, -1)
-        for s2 in (1, -1)
-    ],
-}
-
-MAX_SEQUENCE_LENGTH = 2000
-
-
-def sequence_lengths():
-    """Catalogued base lengths of the solvable families."""
-    return tuple(sorted(_SEQUENCE_BASES))
-
-
-def chain_length(n0, level):
-    """Length of the level-th member of the family starting at n0."""
-    return 2**level * (n0 + 1) - 1
-
-
-def _dedupe(values, tol=1e-12):
-    out = []
-    floats = []
-    for expr in values:
-        x = float(expr.evalf(30))
-        if any(abs(x - y) < tol for y in floats):
-            continue
-        out.append(expr)
-        floats.append(x)
-    return out
-
-
-@dataclass(frozen=True)
-class SequenceSpectrum:
-    """Closed-form spectrum of a catalogued homogeneous chain."""
-
-    n0: int
-    level: int
-    n: int
-    k: int
-    eigenvalues: np.ndarray
-    tags: tuple
-    null_multiplicity: int
-
-
-def sequence_spectrum(n0, level):
-    """Exact spectrum of the homogeneous chain 2^level*(n0+1) - 1.
-
-    Returns the full spectrum (negatives, k+1 zeros, positives) with the
-    positive eigenvalues carried both as floats and as nested-radical tags.
-    """
-    if n0 not in _SEQUENCE_BASES:
-        raise UnsupportedSequenceError(
-            f"no catalogued family starts at N0={n0}; known: {sequence_lengths()}"
-        )
-    if level < 0:
-        raise ValidationError(f"level must be >= 0, got {level}")
-    n = chain_length(n0, level)
-    if n > MAX_SEQUENCE_LENGTH:
-        raise ValidationError(f"chain length {n} exceeds the supported cap {MAX_SEQUENCE_LENGTH}")
-
-    thetas = list(_SEQUENCE_BASES[n0])
-    for step in range(level):
-        grown = list(thetas)
-        for theta in thetas:
-            root = sy.sqrt(2 + theta)
-            grown.extend([root, -root])
-        thetas = _dedupe(grown)
-        if len(thetas) != 2 ** (step + 1) * len(_SEQUENCE_BASES[n0]):
-            raise NumericalError(
-                f"sequence recursion for N0={n0} produced {len(thetas)} distinct "
-                f"values at level {step + 1}"
-            )
-
-    k = (n - 5) // 3
-    positives = sorted(
-        ((float(sy.sqrt(3 + th).evalf(30)), sy.sqrt(3 + th)) for th in thetas),
-        key=lambda item: item[0],
-    )
-    pos_vals = [v for v, _ in positives]
-    pos_tags = [sy.sstr(expr) for _, expr in positives]
-    eigenvalues = np.array([-v for v in reversed(pos_vals)] + [0.0] * (k + 1) + pos_vals)
-    tags = tuple(
-        [f"-{t}" for t in reversed(pos_tags)] + ["0"] * (k + 1) + pos_tags
-    )
-    return SequenceSpectrum(
-        n0=n0,
-        level=level,
-        n=n,
-        k=k,
-        eigenvalues=eigenvalues,
-        tags=tags,
-        null_multiplicity=k + 1,
-    )
-
-
 def spectrum_to_dict(spectrum, tags=None):
-    """JSON payload {eigenvalues, null_multiplicity, tags}."""
-    if isinstance(spectrum, SequenceSpectrum):
-        return {
-            "eigenvalues": [float(x) for x in spectrum.eigenvalues],
-            "null_multiplicity": spectrum.null_multiplicity,
-            "tags": list(spectrum.tags),
-        }
+    """JSON payload {eigenvalues, null_multiplicity, tags}.
+
+    ``tags`` are the exact eigenvalues as strings, one per eigenvalue in the
+    same order; none are written when they are not known.
+    """
     return {
         "eigenvalues": [float(x) for x in spectrum.eigenvalues],
         "null_multiplicity": spectrum.null_multiplicity,

@@ -12,6 +12,17 @@ from qstc import chains
 from qstc.errors import ValidationError
 
 
+def sites(spec):
+    """All sites of a chain, as (qubit type, 1-based cell index)."""
+    out = []
+    for i in range(1, spec.n_cells + 2):
+        out.append(("A1", i))
+        out.append(("A2", i))
+        if i <= spec.n_cells:
+            out.append(("B", i))
+    return out
+
+
 def random_chain(rng, n_cells, lo=0.1, hi=3.0):
     return chains.ChainSpec(
         n_cells=n_cells,
@@ -51,7 +62,7 @@ class TestChainSpec:
 class TestSites:
     def test_site_count(self):
         spec = chains.homogeneous_chain(11)
-        assert len(chains.sites(spec)) == spec.n
+        assert len(sites(spec)) == spec.n
 
     def test_edge_count(self):
         # N-1 edges for a tree on N vertices plus nothing else
@@ -60,24 +71,20 @@ class TestSites:
 
     def test_cell_index_bijection(self):
         spec = chains.homogeneous_chain(17)
-        idx = sorted(chains.cell_index(s, spec.n_cells) for s in chains.sites(spec))
-        assert idx == list(range(spec.n))
-
-    def test_symmetric_index_bijection(self):
-        spec = chains.homogeneous_chain(17)
-        idx = sorted(chains.symmetric_index(s, spec.n_cells) for s in chains.sites(spec))
+        idx = sorted(chains.cell_index(s, spec.n_cells) for s in sites(spec))
         assert idx == list(range(spec.n))
 
     def test_mirror_involution(self):
         spec = chains.homogeneous_chain(23)
-        for s in chains.sites(spec):
+        for s in sites(spec):
             assert chains.mirror_site(chains.mirror_site(s, spec.n_cells), spec.n_cells) == s
 
     def test_corner_sites_are_backbone_ends(self):
+        # the corners A1_1 and A1_{n_cells+1} are the first and the next-to-last
+        # site in cell order (the last is the pendant of the right corner)
         spec = chains.homogeneous_chain(11)
-        a, b = chains.corner_sites(spec)
-        assert a == chains.site_index(("A1", 1), spec)
-        assert b == chains.site_index(("A1", spec.n_cells + 1), spec)
+        assert chains.cell_index(("A1", 1), spec.n_cells) == 0
+        assert chains.cell_index(("A1", spec.n_cells + 1), spec.n_cells) == spec.n - 2
         assert chains.mirror_site(("A1", 1), spec.n_cells) == ("A1", spec.n_cells + 1)
 
 
@@ -92,18 +99,6 @@ class TestHamiltonian:
     def test_row_degree_bound(self):
         h = chains.build_hamiltonian(chains.homogeneous_chain(17)).toarray()
         assert int(np.max(np.count_nonzero(h, axis=1))) <= 3
-
-    def test_numbering_permutation_conjugates(self):
-        rng = np.random.default_rng(1)
-        spec = random_chain(rng, 3)
-        h_cell = chains.build_hamiltonian(spec).toarray()
-        h_sym = chains.build_hamiltonian(
-            spec.with_numbering(chains.Numbering.SYMMETRIC)
-        ).toarray()
-        pi = chains.numbering_permutation(spec)
-        p = np.zeros((spec.n, spec.n))
-        p[pi, np.arange(spec.n)] = 1.0
-        assert np.allclose(p @ h_cell @ p.T, h_sym)
 
 
 class TestSymmetry:

@@ -42,6 +42,7 @@ class TestSpectrumCommand:
         assert np.max(np.abs(lam - target)) < 1e-10
         assert payload["lemmas"]["lemma2"] is True
         assert payload["lemmas"]["lemma3"] is True
+        assert "numbering" not in payload
 
     def test_exact_flag(self, workdir):
         spec_file = write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
@@ -50,6 +51,26 @@ class TestSpectrumCommand:
         payload = json.loads(out.read_text())
         assert payload["exact"]["max_degree"] == 2
         assert payload["exact"]["sequence"] == "S5"
+
+    @pytest.mark.parametrize("n, count, top", [(23, 23, "sqrt(sqrt(sqrt(2) + 2) + 3)"),
+                                               (20, 0, None)])
+    def test_exact_tags(self, workdir, n, count, top):
+        # N = 23 is S5 at level 2; N = 20 belongs to no catalogued family
+        spec_file = write_spec(workdir / "h.json", chains.homogeneous_chain(n))
+        out = workdir / "spectrum.json"
+        assert run(["spectrum", spec_file, "--verify-lemmas", "--exact", "--out", str(out)]) == 0
+        tags = json.loads(out.read_text())["spectrum"]["tags"]
+        assert len(tags) == count
+        if count:
+            assert tags[-1] == top
+
+    @pytest.mark.parametrize("numbering, code", [("cell", 0), ("symmetric", 2)])
+    def test_numbering_key(self, workdir, numbering, code):
+        # "cell", written by earlier glue --out files, is the only numbering
+        data = dict(chains.spec_to_dict(chains.homogeneous_chain(8)), numbering=numbering)
+        spec_file = workdir / "spec.json"
+        spec_file.write_text(json.dumps(data))
+        assert run(["spectrum", str(spec_file)]) == code
 
     def test_exact_rejects_non_integer(self, workdir):
         spec = chains.ChainSpec(n_cells=1, t=(0.5,), w=(1.0,), g=(1.0, 1.0))
@@ -251,6 +272,7 @@ class TestGlueCommand:
         assert run(["glue", spec_file, "--bridge-v", "1.0", "--out", str(out)]) == 0
         child = chains.load_spec(out)
         assert child.n == 23
+        assert "numbering" not in json.loads(out.read_text())
         # output of one command is valid input to another
         assert run(["spectrum", str(out)]) == 0
 

@@ -148,7 +148,7 @@ class TestDimerized:
     def test_probability_never_exceeds_bound(self, w, g, seed):
         rng = np.random.default_rng(seed)
         times = rng.uniform(0.0, 500.0, 200)
-        prob = design.dimerized_probability_exact(w, g, times).probability
+        prob = design.dimerized_series(w, g).trace(times).probability
         assert max(prob) <= design.dimerized_upper_bound(w) + 1e-9
 
     def test_input_validation(self):

@@ -233,6 +233,20 @@ class TestProblemsFromConfig:
                   "sweep": {axis: [value], "T_multiples": [5, 10]}}
         assert len(optimize.problems_from_config(config)) == 2
 
+    @pytest.mark.parametrize("swept, w", [({}, 0.5), ({"w": [0.8]}, 0.8)])
+    def test_sweep_keeps_top_level_fixed_params(self, swept, w):
+        config = {"scenario": "fixed_w_opt_g", "k": 2, "seed": 1,
+                  "fixed_params": {"w": 0.5}, "sweep": dict(swept, T_multiples=[5, 10])}
+        problems = optimize.problems_from_config(config)
+        assert [p.fixed_params for p in problems] == [{"w": w}] * 2
+
+    @pytest.mark.parametrize("scenario, key", [("full_k_plus_4", "alpha"), ("alpha_opt_tg", "w")])
+    def test_sweep_key_not_read_rejected(self, scenario, key):
+        config = {"scenario": scenario, "k": 2, "seed": 1, "fixed_params": {"alpha": 2.0},
+                  "sweep": {key: [1.0, 2.0], "T_multiples": [5]}}
+        with pytest.raises(ValidationError, match=key):
+            optimize.problems_from_config(config)
+
     def test_unreadable_config_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             optimize.load_config(tmp_path / "missing.json")

@@ -1,14 +1,15 @@
-"""Tests for eigendecomposition, glueing and the solvable-sequence catalogue."""
+"""Tests for eigendecomposition, glueing and the solvable-sequence spectra."""
 
 import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qstc import chains, spectral
-from qstc.errors import StructuralError, UnsupportedSequenceError, ValidationError
+from qstc import chains, exact, spectral
+from qstc.errors import StructuralError, ValidationError
 
 
 def random_symmetric_chain(rng, k):
@@ -33,11 +34,8 @@ class TestDecompose:
     def test_null_multiplicity_homogeneous(self):
         for n in (5, 8, 11, 14, 17):
             spec = chains.homogeneous_chain(n)
-            assert spectral.null_multiplicity(chains.build_hamiltonian(spec)) == spec.k + 1
-
-    def test_paired_flag(self):
-        h = chains.build_hamiltonian(chains.homogeneous_chain(8))
-        assert spectral.decompose(h).paired
+            spectrum = spectral.decompose(chains.build_hamiltonian(spec))
+            assert spectrum.null_multiplicity == spec.k + 1
 
 
 class TestJacobiSpectrum:
@@ -150,39 +148,53 @@ class TestVerifyLemmas:
             assert report.lemma1 and report.lemma4
 
 
-class TestSequenceSpectrum:
-    def test_base_lengths(self):
-        assert spectral.sequence_lengths() == (5, 8, 14, 44)
-        assert spectral.chain_length(5, 0) == 5
-        assert spectral.chain_length(5, 2) == 23
-        assert spectral.chain_length(8, 1) == 17
+# Every catalogued length N = 2^level (N0+1) - 1 with k <= 50 (N <= 155).
+CATALOGUED = [
+    (n0, level)
+    for n0 in (5, 8, 14, 44)
+    for level in range(6)
+    if 2**level * (n0 + 1) - 1 <= 155
+]
 
-    @pytest.mark.parametrize(
-        "n0,level",
-        [(5, 0), (5, 1), (5, 2), (8, 0), (8, 1), (8, 2), (14, 0), (14, 1), (44, 0)],
-    )
+
+class TestSequenceSpectrum:
+    """The nested-radical spectra of the solvable families (``exact.sequence_tags``)."""
+
+    def test_base_lengths(self):
+        for n0 in (5, 8, 14, 44):
+            k = (n0 - 5) // 3
+            assert exact.classify_sequence(k) == f"S{n0}"
+            assert len(exact.sequence_tags(k)) == n0
+        assert len(CATALOGUED) == 16
+
+    @pytest.mark.parametrize("n0,level", CATALOGUED)
     def test_matches_numerics(self, n0, level):
-        seq = spectral.sequence_spectrum(n0, level)
-        h = chains.build_hamiltonian(chains.homogeneous_chain(seq.n))
-        lam = np.linalg.eigvalsh(h.toarray())
-        assert np.max(np.abs(np.sort(seq.eigenvalues) - lam)) < 1e-10
+        n = 2**level * (n0 + 1) - 1
+        k = (n - 5) // 3
+        tags = exact.sequence_tags(k)
+        assert exact.classify_sequence(k) == f"S{n0}"
+        values = np.array([float(sympy.sympify(tag).evalf(30)) for tag in tags])
+        lam = np.linalg.eigvalsh(chains.build_hamiltonian(chains.homogeneous_chain(n)).toarray())
+        assert np.max(np.abs(values - lam)) < 1e-10
 
     def test_tag_count(self):
-        seq = spectral.sequence_spectrum(8, 1)
-        assert len(seq.tags) == seq.n
-        assert seq.tags.count("0") == seq.k + 1
+        tags = exact.sequence_tags(4)  # N = 17, S8 level 1
+        assert len(tags) == 17
+        assert tags.count("0") == 5
 
     def test_unknown_base_rejected(self):
-        with pytest.raises(UnsupportedSequenceError):
-            spectral.sequence_spectrum(7, 0)
+        # N = 20 (k = 5) belongs to no catalogued family
+        assert exact.classify_sequence(5) is None
+        assert exact.sequence_tags(5) is None
 
     def test_negative_level_rejected(self):
-        with pytest.raises(ValidationError):
-            spectral.sequence_spectrum(5, -1)
+        # k = -1 would be N = 2, shorter than every family base
+        assert exact.sequence_tags(-1) is None
 
     def test_to_dict(self):
-        seq = spectral.sequence_spectrum(5, 0)
-        payload = spectral.spectrum_to_dict(seq)
+        spectrum = spectral.decompose(chains.build_hamiltonian(chains.homogeneous_chain(5)))
+        payload = spectral.spectrum_to_dict(spectrum, exact.sequence_tags(0))
         assert payload["null_multiplicity"] == 1
         assert len(payload["eigenvalues"]) == 5
-        assert len(payload["tags"]) == 5
+        assert payload["tags"] == ["-sqrt(3)", "-1", "0", "1", "sqrt(3)"]
+        assert spectral.spectrum_to_dict(spectrum)["tags"] == []
