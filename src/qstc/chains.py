@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_keys
 
 
 def _check_couplings(name, values, expected_len):
@@ -261,23 +261,29 @@ def spec_from_dict(data):
     {"symmetric": {"k", "v", "g"}} and the homogeneous shorthand
     {"homogeneous": {"N", "coupling"}}.  The full form may also carry
     ``"numbering": "cell"``, which older ``glue --out`` files hold; cell order
-    is the only numbering.
+    is the only numbering.  Any other key, at either level, raises
+    :class:`ValidationError` naming it.
     """
     if not isinstance(data, dict):
         raise ValidationError("chain spec must be a JSON object")
     if "homogeneous" in data:
+        check_keys(data, {"homogeneous"}, "chain spec")
         body = data["homogeneous"]
+        check_keys(body, {"N", "coupling"}, "homogeneous shorthand")
         try:
             return homogeneous_chain(int(body["N"]), float(body.get("coupling", 1.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad homogeneous shorthand: {exc}") from exc
     if "symmetric" in data:
+        check_keys(data, {"symmetric"}, "chain spec")
         body = data["symmetric"]
+        check_keys(body, {"k", "v", "g"}, "symmetric chain spec")
         try:
             sym = SymmetricChainSpec(k=int(body["k"]), v=body["v"], g=body["g"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad symmetric chain spec: {exc}") from exc
         return expand_symmetric(sym)
+    check_keys(data, {"n_cells", "t", "w", "g", "numbering"}, "chain spec")
     if data.get("numbering", "cell") != "cell":
         raise ValidationError(f"unknown numbering {data['numbering']!r}; only 'cell' exists")
     try:

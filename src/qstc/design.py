@@ -247,7 +247,8 @@ class PgtSearchResult:
 
     ``reached`` tells whether some t <= t_max got the infidelity below
     epsilon; ``t_found`` is the earliest peak that does (None when not reached).
-    ``best_t``/``best_infidelity`` always record the best point seen.
+    ``best_t``/``best_infidelity`` always record the best point seen, with
+    ``best_infidelity`` = 1 - ``series.probability(best_t)`` bit for bit.
     """
 
     epsilon: float
@@ -297,7 +298,7 @@ def pgt_search(series, epsilon, t_max):
         t_found=best_t if reached else None,
         reached=reached,
         best_t=best_t,
-        best_infidelity=1.0 - best_p,
+        best_infidelity=1.0 - float(series.probability(best_t)[0]),
         scan_budget=used,
         frequencies=series.frequencies,
     )

@@ -11,6 +11,10 @@ pretty-good-transfer arguments and peak searches.
 
 :func:`scan_peaks` is the one scan-and-refine peak search; window maxima
 (:func:`peak_search`) and pretty good transfer (:func:`design.pgt_search`) use it.
+Its uniform grid t_m = m h is sampled from two phasor tables per chunk
+(:func:`phasor_amplitude`), not from one cosine per sample and frequency;
+its certificate allows for the rounding of those samples, and every P it
+reports is a direct evaluation of the series at the reported time.
 
 The averaged transmission fidelity is f = 1/2 + sqrt(P)/3 + P/6 with the
 controllable phase set to its optimal value.
@@ -31,6 +35,9 @@ PROB_SLACK = 1e-9
 SCAN_CHUNK = 65536
 #: most Newton steps spent refining one candidate peak
 NEWTON_STEPS = 8
+#: width B of the inner phasor table that samples a scan chunk (about the
+#: square root of a typical scan's sample count)
+PHASOR_BLOCK = 32
 
 
 def fidelity_from_probability(p):
@@ -166,29 +173,55 @@ def scan_size(series, t_max):
     return max(int(np.ceil(t_max * 8 * series.max_frequency / np.pi)) + 1, 65)
 
 
+def phasor_amplitude(frequencies, coefficients, h, start, size):
+    """a(m h) for m = start, ..., start + size - 1, from two phasor tables.
+
+    With m = start + B r + b (B = PHASOR_BLOCK, 0 <= b < B),
+    a(m h) = Re sum_j [c_j exp(i f_j h (start + B r))] [exp(i f_j h b)]: one
+    (rows x n_freq) @ (n_freq x B) product, which costs (rows + B) n_freq
+    complex exponentials instead of one cosine per sample and frequency.
+    A sample is within a few eps (1 + f_max m h) sum |c_j| of the direct
+    cosine sum, which is itself only that close to the exact amplitude.
+    """
+    f = np.asarray(frequencies, dtype=float)
+    rows = -(-size // PHASOR_BLOCK)
+    outer = np.asarray(coefficients) * np.exp(
+        1j * h * np.outer(start + PHASOR_BLOCK * np.arange(rows), f)
+    )
+    inner = np.exp(1j * h * np.outer(f, np.arange(PHASOR_BLOCK)))
+    return (outer @ inner).real.ravel()[:size]
+
+
 def scan_peaks(series, t_max, amplitude_cap=None):
     """Forward scan-and-refine of P(t) = a(t)^2 over [0, t_max].
 
-    The :func:`scan_size` grid (step h) goes in chunks of SCAN_CHUNK steps
-    that share their boundary samples.  An interior maximum of |a| has
-    a' = 0, so it exceeds its nearest sample by at most
-    delta = sum |c_j| f_j^2 h^2 / 8.  Every local maximum of the sampled |a|
-    (end samples count) with |a_s| + delta >= floor gets Newton steps on
-    a' = 0, clipped to its neighbouring samples, and keeps the better of
-    sample and refined point.  The floor is the chunk's largest |a_s|,
-    capped at ``amplitude_cap``.
+    The :func:`scan_size` grid t_m = m h goes in chunks of SCAN_CHUNK steps
+    that share their boundary samples; :func:`phasor_amplitude` samples each
+    chunk.  An interior maximum of |a| has a' = 0, so it exceeds its nearest
+    sample by at most sum |c_j| f_j^2 h^2 / 8.  A computed sample, from the
+    tables or from direct cosines alike, is off by about
+    eps (1 + f_max t_max) sum |c_j| at most, so delta is the first bound plus
+    the rounding allowance eta = 4 eps (1 + f_max t_max) sum |c_j|.  Every
+    local maximum of the sampled |a| (end samples count) with
+    |a_s| + delta >= floor gets Newton steps on a' = 0, clipped to its
+    neighbouring samples, and keeps the better of sample and refined point.
+    The floor is the chunk's largest |a_s|, capped at ``amplitude_cap``.
 
     Yields ``(times, probs, evaluations)`` per chunk: the refined candidates
-    in time order, their P, and the samples plus refinement evaluations made.
+    in time order, their P evaluated directly by the series at those times,
+    and the samples plus refinement evaluations made.
     """
     n = scan_size(series, t_max)
     h = t_max / (n - 1)
     f = np.asarray(series.frequencies, dtype=float)
-    cf = np.asarray(series.coefficients, dtype=float) * f
-    delta = float(np.abs(cf) @ f) * h * h / 8
+    c = np.asarray(series.coefficients, dtype=float)
+    cf = c * f
+    cff = cf * f
+    eta = 4 * np.finfo(float).eps * (1 + series.max_frequency * t_max) * series.amplitude_ceiling
+    delta = float(np.abs(cf) @ f) * h * h / 8 + eta
     for start in range(0, n - 1, SCAN_CHUNK):
         grid = t_max * (np.arange(start, min(start + SCAN_CHUNK, n - 1) + 1) / (n - 1))
-        amp = np.abs(series.amplitude(grid))
+        amp = np.abs(phasor_amplitude(f, c, h, start, grid.size))
         floor = amp.max() if amplitude_cap is None else min(amplitude_cap, amp.max())
         padded = np.concatenate(([-1.0], amp, [-1.0]))  # ends compare one side
         local_max = (amp >= padded[:-2]) & (amp >= padded[2:])
@@ -197,19 +230,26 @@ def scan_peaks(series, t_max, amplitude_cap=None):
         t = grid[cand]
         for steps in range(1, NEWTON_STEPS + 1):
             # a' = -sum c f sin(f t), a'' = -sum c f^2 cos(f t); the signs cancel
-            d1, d2 = np.sin(np.outer(t, f)) @ cf, np.cos(np.outer(t, f)) @ (cf * f)
+            phase = np.outer(t, f)
+            d1, d2 = np.sin(phase) @ cf, np.cos(phase) @ cff
             moved = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0), lo, hi)
             t, done = moved, np.all(np.abs(moved - t) <= 1e-8 * h)
             if done:
                 break
-        p, p_sample = series.probability(t), amp[cand] ** 2
+        # the samples' own P comes from the series too, not from the tables
+        p = series.probability(np.concatenate((t, grid[cand])))
+        p, p_sample = p[: cand.size], p[cand.size :]
         better = p > p_sample
         yield (np.where(better, t, grid[cand]), np.where(better, p, p_sample),
                grid.size + (steps + 1) * cand.size)
 
 
 def peak_search(series, t_max):
-    """(t*, P*) at the global maximum of P over [0, t_max], by :func:`scan_peaks`."""
+    """(t*, P*) at the global maximum of P over [0, t_max], by :func:`scan_peaks`.
+
+    P* is ``series.probability(t*)`` (capped at 1), bit for bit: a batched
+    evaluation may differ from the one-time one in the last bits.
+    """
     if t_max <= 0:
         raise ValidationError(f"t_max must be positive, got {t_max}")
     best_t, best_p = 0.0, -1.0
@@ -217,4 +257,4 @@ def peak_search(series, t_max):
         i = int(np.argmax(probs))
         if probs[i] > best_p:
             best_t, best_p = float(times[i]), float(probs[i])
-    return best_t, min(best_p, 1.0)
+    return best_t, min(float(series.probability(best_t)[0]), 1.0)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all qstc modules."""
+"""Exception hierarchy shared by all qstc modules, and the one unknown-key check."""
 
 
 class QstcError(Exception):
@@ -27,3 +27,16 @@ class InfeasibleDesignError(QstcError):
 
 class UnsupportedInputError(QstcError):
     """Input outside the supported domain (e.g. non-integer couplings)."""
+
+
+def check_keys(data, allowed, where):
+    """Raise :class:`ValidationError` unless ``data`` is a dict whose keys are all allowed.
+
+    The message names every unknown key, so a misspelt key never falls back
+    to a default without a word.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValidationError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import chains, dynamics
-from .errors import ValidationError
+from .errors import ValidationError, check_keys
 
 DEFAULT_BOUNDS = (0.05, 4.0)
 DEFAULT_BUDGET = 20000
@@ -140,12 +140,6 @@ CONFIG_KEYS = {"run", "scenario", "k", "seed", "bounds", "window_max", "T", "T_m
 SWEEP_KEYS = {"k", "w", "alpha", "T", "T_multiples"}
 
 
-def _check_keys(config, allowed, where):
-    unknown = sorted(set(config) - allowed)
-    if unknown:
-        raise ValidationError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
-
-
 def config_field(config, key, kind, default=_REQUIRED):
     """``kind(config[key])``, or ``default`` when the key is absent.
 
@@ -198,7 +192,7 @@ def problems_from_config(config):
     with the swept value in place.  A missing, ill-typed or unknown key, or a
     sweep key the scenario does not read, raises :class:`ValidationError`.
     """
-    _check_keys(config, CONFIG_KEYS, "optimize config")
+    check_keys(config, CONFIG_KEYS, "optimize config")
     scenario = config_field(config, "scenario", Scenario)
     common = dict(
         scenario=scenario,
@@ -220,7 +214,7 @@ def problems_from_config(config):
     sweep_cfg = config_field(config, "sweep", dict)
     fixed_name = {Scenario.FIXED_W_OPT_G: "w", Scenario.ALPHA_OPT_TG: "alpha"}.get(scenario)
     unread = {"w", "alpha"} - {fixed_name}
-    _check_keys(sweep_cfg, SWEEP_KEYS - unread, f"{scenario.value} sweep")
+    check_keys(sweep_cfg, SWEEP_KEYS - unread, f"{scenario.value} sweep")
     k_values = config_field(sweep_cfg, "k", lambda ks: [int(k) for k in ks], None)
     if k_values is None:
         k_values = [config_field(config, "k", int)]

@@ -144,6 +144,29 @@ class TestSerialization:
         spec = chains.spec_from_dict({"homogeneous": {"N": 8}})
         assert spec == chains.homogeneous_chain(8)
 
+    @pytest.mark.parametrize(
+        "data, unknown",
+        [
+            ({"homogeneous": {"N": 8, "couplng": 2}}, "couplng"),
+            ({"homogeneous": {"N": 8}, "n_cells": 2}, "n_cells"),
+            ({"symmetric": {"k": 2, "v": [1, 2, 3], "g": [0.5, 0.7], "w": [1]}}, "'w'"),
+            ({"symmetric": {"k": 2, "v": [1, 2, 3], "g": [0.5, 0.7]}, "extra": 1}, "extra"),
+            ({"n_cells": 1, "t": [1], "w": [1], "g": [1, 1], "numberng": "cell"}, "numberng"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, data, unknown):
+        # a misspelt key must not silently fall back to its default
+        with pytest.raises(ValidationError, match=unknown):
+            chains.spec_from_dict(data)
+
+    def test_numbering_key_accepted(self):
+        data = dict(chains.spec_to_dict(chains.homogeneous_chain(8)), numbering="cell")
+        assert chains.spec_from_dict(data) == chains.homogeneous_chain(8)
+
+    def test_body_must_be_object(self):
+        with pytest.raises(ValidationError):
+            chains.spec_from_dict({"homogeneous": 8})
+
     def test_malformed_input(self, tmp_path):
         with pytest.raises(ValidationError):
             chains.spec_from_dict([1, 2, 3])

@@ -83,6 +83,12 @@ class TestSpectrumCommand:
         spec_file.write_text(json.dumps({"homogeneous": {"N": 11, "coupling": 2}}))
         assert run(["spectrum", str(spec_file), "--exact"]) == 2
 
+    def test_unknown_spec_key_rejected(self, workdir):
+        # "couplng" used to build the unit-coupling chain without a word
+        spec_file = workdir / "typo.json"
+        spec_file.write_text(json.dumps({"homogeneous": {"N": 8, "couplng": 2}}))
+        assert run(["spectrum", str(spec_file)]) == 2
+
     def test_internal_error_not_bad_input(self, workdir, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")

@@ -40,6 +40,25 @@ def p17_reference(times):
     return amp**2
 
 
+def random_non_mirror_chain(n_cells, seed):
+    """Couplings in [0.05, 4], about 30 % snapped to the bounds as DE clips them."""
+    rng = np.random.default_rng(seed)
+    couplings = rng.uniform(0.05, 4.0, 3 * n_cells + 1)
+    snap = rng.random(couplings.size) < 0.3
+    couplings[snap] = rng.choice([0.05, 4.0], int(snap.sum()))
+    return chains.ChainSpec(
+        n_cells=n_cells,
+        t=couplings[:n_cells],
+        w=couplings[n_cells : 2 * n_cells],
+        g=couplings[2 * n_cells :],
+    )
+
+
+def rounding_unit(series, t_max):
+    """eps (1 + f_max t_max) sum |c_j|: the scale of a sample's rounding error."""
+    return np.finfo(float).eps * (1 + series.max_frequency * t_max) * series.amplitude_ceiling
+
+
 class TestFidelity:
     def test_endpoints(self):
         assert dynamics.fidelity_from_probability(0.0) == pytest.approx(0.5)
@@ -237,22 +256,64 @@ class TestPeakSearch:
         t_max=st.floats(min_value=0.5, max_value=300.0),
     )
     def test_not_below_finer_grid_random_chain(self, n_cells, seed, t_max):
-        rng = np.random.default_rng(seed)
-        couplings = rng.uniform(0.05, 4.0, 3 * n_cells + 1)
-        snap = rng.random(couplings.size) < 0.3
-        couplings[snap] = rng.choice([0.05, 4.0], int(snap.sum()))
-        spec = chains.ChainSpec(
-            n_cells=n_cells,
-            t=couplings[:n_cells],
-            w=couplings[n_cells : 2 * n_cells],
-            g=couplings[2 * n_cells :],
-        )
-        series = dynamics.chain_series(spec)
+        series = dynamics.chain_series(random_non_mirror_chain(n_cells, seed))
         t_star, p_star = dynamics.peak_search(series, t_max)
         fine = np.linspace(0.0, t_max, 16 * (dynamics.scan_size(series, t_max) - 1) + 1)
         assert p_star >= series.probability(fine).max() - 1e-12
         assert 0.0 <= t_star <= t_max
-        assert p_star == pytest.approx(float(series.probability(t_star)[0]), abs=1e-15)
+        assert p_star == min(float(series.probability(t_star)[0]), 1.0)
+
+    @pytest.mark.parametrize("n, epsilon", [(11, 1e-3), (17, 1e-2), (14, 1e-2)])
+    def test_reported_p_is_series_value_at_pgt_scale(self, n, epsilon):
+        # long windows, where a table sample is furthest from the direct sum
+        series = dynamics.chain_series(chains.homogeneous_chain(n))
+        t_star, p_star = dynamics.peak_search(series, 2e4)
+        assert p_star == float(series.probability(t_star)[0])
+        result = design.pgt_search(series, epsilon, 2e5)
+        assert result.reached
+        assert result.best_infidelity == 1.0 - float(series.probability(result.best_t)[0])
+        assert result.best_infidelity < epsilon
+
+    @pytest.mark.parametrize("chunk", [1, 5, 31])
+    def test_chunks_smaller_than_phasor_block(self, monkeypatch, chunk):
+        series = dynamics.chain_series(chains.homogeneous_chain(14))
+        t_max = 200.0
+        whole_t, whole_p = dynamics.peak_search(series, t_max)
+        monkeypatch.setattr(dynamics, "SCAN_CHUNK", chunk)
+        assert chunk < dynamics.PHASOR_BLOCK
+        t_star, p_star = dynamics.peak_search(series, t_max)
+        assert t_star == pytest.approx(whole_t, rel=1e-12)
+        assert p_star == pytest.approx(whole_p, abs=1e-15)
+        assert p_star == float(series.probability(t_star)[0])
+        # every sample is scanned, each shared boundary sample once per chunk
+        n = dynamics.scan_size(series, t_max)
+        chunked = list(dynamics.scan_peaks(series, t_max))
+        assert len(chunked) == -(-(n - 1) // chunk)
+        assert sum(e for _, _, e in chunked) >= n + len(chunked) - 1
+
+
+class TestPhasorSamples:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_cells=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        t_max=st.floats(min_value=0.5, max_value=2e5),
+        where=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_match_direct_cosines_random_chain(self, n_cells, seed, t_max, where):
+        spec = random_non_mirror_chain(n_cells, seed)
+        assume(not chains.is_mirror_symmetric(spec))
+        series = dynamics.chain_series(spec)
+        n = dynamics.scan_size(series, t_max)
+        h = t_max / (n - 1)
+        size = min(n, 3000)
+        start = int(where * (n - size))  # a window anywhere on the grid
+        table = dynamics.phasor_amplitude(
+            series.frequencies, series.coefficients, h, start, size
+        )
+        direct = series.amplitude(t_max * (np.arange(start, start + size) / (n - 1)))
+        assert table.shape == (size,)
+        assert np.max(np.abs(table - direct)) <= 4 * rounding_unit(series, t_max)
 
 
 class TestP17Oracle:
