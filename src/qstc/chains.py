@@ -13,7 +13,9 @@ that carries corner-to-corner transfer.
 
 Sites are ordered cell by cell, each pendant after its backbone qubit
 (:func:`cell_index`).  Any other order would only permute H: it changes no
-eigenvalue, and J does not depend on it.
+eigenvalue, and J does not depend on it.  :func:`mirror_site` is the one
+reflection map, and :func:`mirror_chain` the one constructor of a
+mirror-symmetric layout from its left half.
 """
 
 from __future__ import annotations
@@ -196,32 +198,31 @@ def backbone_sequence(spec):
     return tuple(seq)
 
 
-def is_mirror_symmetric(spec, rtol=0.0):
+def is_mirror_symmetric(spec):
     """True if the coupling layout is invariant under the chain reflection."""
     seq = backbone_sequence(spec)
-    ok = all(
-        math.isclose(a, b, rel_tol=rtol, abs_tol=0.0)
-        for a, b in zip(seq, seq[::-1])
-    )
-    return ok and all(
-        math.isclose(a, b, rel_tol=rtol, abs_tol=0.0)
-        for a, b in zip(spec.g, spec.g[::-1])
-    )
+    return seq == seq[::-1] and spec.g == spec.g[::-1]
+
+
+def mirror_chain(backbone, pendants):
+    """The one mirror-symmetric chain with the given left half of its layout.
+
+    ``backbone`` holds the first n_cells backbone couplings (t1, w1, t2, ...),
+    ``pendants`` the first ceil((n_cells+1)/2) pendant couplings, the middle
+    one included when n_cells is even.  The right half is their reflection.
+    """
+    n_cells = len(backbone)
+    seq = tuple(backbone) + tuple(backbone[::-1])
+    g = tuple(pendants) + tuple(pendants[: (n_cells + 1) // 2][::-1])
+    return ChainSpec(n_cells=n_cells, t=seq[0::2], w=seq[1::2], g=g)
 
 
 def expand_symmetric(spec):
-    """Expand a :class:`SymmetricChainSpec` into a full :class:`ChainSpec`."""
-    k = spec.k
-    seq = list(spec.v) + list(spec.v[::-1])
-    t = tuple(seq[0::2])
-    w = tuple(seq[1::2])
-    if k % 2 == 0:
-        g = tuple(spec.g) + tuple(spec.g[::-1])
-    else:
-        # Odd k: the central pendant is self-mirror and reuses the innermost
-        # independent value.
-        g = tuple(spec.g) + (spec.g[-1],) + tuple(spec.g[::-1])
-    return ChainSpec(n_cells=k + 1, t=t, w=w, g=g)
+    """Expand a :class:`SymmetricChainSpec` into a full :class:`ChainSpec`.
+
+    For odd k the central pendant reuses the innermost independent value.
+    """
+    return mirror_chain(spec.v, spec.g + spec.g[-1:] if spec.k % 2 else spec.g)
 
 
 def homogeneous_chain(n, coupling=1.0):
@@ -244,8 +245,6 @@ def homogeneous_chain(n, coupling=1.0):
 
 
 def spec_to_dict(spec):
-    if isinstance(spec, SymmetricChainSpec):
-        return {"symmetric": {"k": spec.k, "v": list(spec.v), "g": list(spec.g)}}
     return {
         "n_cells": spec.n_cells,
         "t": list(spec.t),

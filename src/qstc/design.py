@@ -61,21 +61,10 @@ class PstDesign:
     target_spectrum: tuple
 
     def chain(self):
-        """ChainSpec realizing the design."""
+        """ChainSpec realizing the design: the mirror of (v1, v2[, v3]) and (g1, g2)."""
         c = self.couplings
-        if self.family == "n8":
-            return chains.ChainSpec(
-                n_cells=2,
-                t=(self.v1, c["v2"]),
-                w=(c["v2"], self.v1),
-                g=(c["g1"], c["g2"], c["g1"]),
-            )
-        return chains.ChainSpec(
-            n_cells=3,
-            t=(self.v1, c["v3"], c["v2"]),
-            w=(c["v2"], c["v3"], self.v1),
-            g=(c["g1"], c["g2"], c["g2"], c["g1"]),
-        )
+        backbone = (self.v1,) + tuple(c[name] for name in ("v2", "v3") if name in c)
+        return chains.mirror_chain(backbone, (c["g1"], c["g2"]))
 
     def to_dict(self):
         return {
@@ -89,6 +78,8 @@ class PstDesign:
 
 
 def _check_feasible(family, k, v1):
+    if not math.isfinite(v1):
+        raise ValidationError(f"v1 must be finite, got {v1}")
     lo, hi = feasible_interval(family, k)
     if not lo < v1 * v1 < hi:
         raise InfeasibleDesignError(
@@ -198,8 +189,8 @@ def probability_closed_form_pst(family, k):
 
 def dimerized_upper_bound(w):
     """Envelope of the dimerized N=11 transfer probability over time and g."""
-    if w <= 0:
-        raise ValidationError(f"dimerization parameter w must be positive, got {w}")
+    if not 0 < w < math.inf:
+        raise ValidationError(f"dimerization parameter w must be positive and finite, got {w}")
     return (w * (1 + w * w) / (1 + w**4)) ** 2
 
 
@@ -279,8 +270,8 @@ def pgt_search(series, epsilon, t_max):
     """
     if not 0 < epsilon < 1:
         raise ValidationError(f"epsilon must be in (0,1), got {epsilon}")
-    if t_max <= 0:
-        raise ValidationError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     best_t, best_p, used = 0.0, -1.0, 0
     for times, probs, evaluations in dynamics.scan_peaks(
         series, t_max, amplitude_cap=math.sqrt(1.0 - epsilon)

@@ -250,8 +250,8 @@ def peak_search(series, t_max):
     P* is ``series.probability(t*)`` (capped at 1), bit for bit: a batched
     evaluation may differ from the one-time one in the last bits.
     """
-    if t_max <= 0:
-        raise ValidationError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < np.inf:
+        raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     best_t, best_p = 0.0, -1.0
     for times, probs, _ in scan_peaks(series, t_max):
         i = int(np.argmax(probs))

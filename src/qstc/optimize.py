@@ -70,8 +70,10 @@ class OptProblem:
     def __post_init__(self):
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
-        if self.arrival_time <= 0:
-            raise ValidationError(f"arrival time must be positive, got {self.arrival_time}")
+        if not 0 < self.arrival_time < math.inf:
+            raise ValidationError(
+                f"arrival time must be positive and finite, got {self.arrival_time}"
+            )
         try:
             scenario = Scenario(self.scenario)
         except ValueError as exc:

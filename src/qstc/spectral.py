@@ -6,7 +6,9 @@ The structural facts used throughout:
 * the nonzero eigenvalues come in +/- pairs (the chain graph is bipartite);
 * glueing two mirror copies of an odd-length chain through one extra qubit
   produces a chain of length 2N+1 whose spectrum contains the parent's, the
-  N+1 new eigenvalues being those of an (N+1)x(N+1) bordered block.
+  N+1 new eigenvalues being those of an (N+1)x(N+1) bordered block.  The
+  child is built by :func:`chains.mirror_chain` and block-diagonalized in
+  cell order, the copies matched by :func:`chains.mirror_site`.
 
 The squared nonzero eigenvalues are the eigenvalues of the (k+2)x(k+2)
 Jacobi matrix :func:`chains.jacobi_matrix`.  The nested-radical spectra of the
@@ -27,6 +29,9 @@ from .errors import NumericalError, StructuralError, ValidationError
 
 # |lambda| < ZERO_TOL_FACTOR * max|lambda| classifies a null eigenvalue.
 ZERO_TOL_FACTOR = 1e-9
+# verify_lemmas: largest deviation that passes, and the bridge coupling it glues with
+LEMMA_TOL = 1e-10
+LEMMA_BRIDGE_V = 1.0
 
 
 @dataclass(frozen=True)
@@ -80,41 +85,19 @@ def decompose(h):
 # ---------------------------------------------------------------------------
 
 
-def glue_order(spec):
-    """Mirror-adapted site order of an odd-length symmetric chain.
-
-    Position j and position N+1-j are mirror images; the first and last
-    positions are the two backbone end qubits.  In this order the reflection
-    acts as plain index reversal, which is what the glueing transform needs.
-    """
-    k = spec.k
-    if spec.n % 2 == 0:
-        raise StructuralError(f"glue order needs an odd-length chain, got N={spec.n}")
-    left = []
-    for b in range(1, k + 2):
-        if b % 2 == 1:
-            left.append(("A1", (b + 1) // 2))
-            left.append(("A2", (b + 1) // 2))
-        else:
-            left.append(("B", b // 2))
-    center = ("B", (k + 2) // 2)
-    right = [chains.mirror_site(s, spec.n_cells) for s in reversed(left)]
-    return left + [center] + right
-
-
 @dataclass(frozen=True)
 class GlueResult:
     """Outcome of glueing two mirror copies of a chain through one qubit.
 
     ``transform`` is orthogonal and block-diagonalizes the child Hamiltonian
-    (cell order) into ``block_a`` plus the parent Hamiltonian in its
-    mirror-adapted order (``parent_glue``).
+    into ``block_a`` (N+1 rows) plus the parent Hamiltonian, both in cell
+    order: its first N columns are the mirror-even combinations of the two
+    copies, then the bridge qubit, then the mirror-odd combinations.
     """
 
     child: ChainSpec
     block_a: np.ndarray
     transform: np.ndarray
-    parent_glue: np.ndarray
 
 
 def glue(parent, bridge_v):
@@ -131,47 +114,24 @@ def glue(parent, bridge_v):
         raise StructuralError("glueing requires a mirror-symmetric parent chain")
 
     n = parent.n
-    k = parent.k
-    order = glue_order(parent)
-    idx = [chains.cell_index(s, parent.n_cells) for s in order]
-    h_p = chains.build_hamiltonian(parent).toarray()[np.ix_(idx, idx)]
-
-    seq = chains.backbone_sequence(parent)
-    child_seq = list(seq) + [bridge_v, bridge_v] + list(seq[::-1])
-    child = ChainSpec(
-        n_cells=2 * k + 3,
-        t=tuple(child_seq[0::2]),
-        w=tuple(child_seq[1::2]),
-        g=tuple(parent.g) + tuple(parent.g[::-1]),
-    )
-
+    child = chains.mirror_chain(chains.backbone_sequence(parent) + (bridge_v,), parent.g)
+    # the bridge couples to the right corner A1 of the left copy, site n-2
     block_a = np.zeros((n + 1, n + 1))
-    block_a[:n, :n] = h_p
-    block_a[n, n - 1] = block_a[n - 1, n] = np.sqrt(2.0) * bridge_v
+    block_a[:n, :n] = chains.build_hamiltonian(parent).toarray()
+    block_a[n, n - 2] = block_a[n - 2, n] = np.sqrt(2.0) * bridge_v
 
-    # Orthogonal half-sum/half-difference transform in the child's
-    # mirror-adapted order.
-    eye = np.eye(n)
-    srev = eye[::-1]
-    d_block = np.zeros((2 * n + 1, 2 * n + 1))
-    d_block[:n, :n] = eye / np.sqrt(2.0)
-    d_block[n + 1:, :n] = srev / np.sqrt(2.0)
-    d_block[n, n] = 1.0
-    d_block[:n, n + 1:] = eye / np.sqrt(2.0)
-    d_block[n + 1:, n + 1:] = -srev / np.sqrt(2.0)
-
-    # Child sites in the glue order: copy 1, bridge qubit, mirrored copy 2.
-    child_order = (
-        list(order)
-        + [("B", k + 2)]
-        + [chains.mirror_site(s, child.n_cells) for s in reversed(order)]
-    )
-    q = np.zeros((child.n, child.n))
-    for pos, site in enumerate(child_order):
-        q[chains.cell_index(site, child.n_cells), pos] = 1.0
-    transform = q @ d_block
-
-    return GlueResult(child=child, block_a=block_a, transform=transform, parent_glue=h_p)
+    # parent site i is child site i in the left copy and image[i] in the right one
+    image = np.empty(n, dtype=int)
+    for site in {s for a, b, _ in chains.edges(parent) for s in (a, b)}:
+        mirrored = chains.mirror_site(site, child.n_cells)
+        image[chains.cell_index(site, parent.n_cells)] = chains.cell_index(mirrored, child.n_cells)
+    sites = np.arange(n)
+    transform = np.zeros((child.n, child.n))
+    transform[sites, sites] = transform[image, sites] = 1 / np.sqrt(2.0)
+    transform[sites, sites + n + 1] = 1 / np.sqrt(2.0)
+    transform[image, sites + n + 1] = -1 / np.sqrt(2.0)
+    transform[n, n] = 1.0
+    return GlueResult(child=child, block_a=block_a, transform=transform)
 
 
 def match_contained(sub, full, tol):
@@ -208,8 +168,12 @@ class LemmaReport:
     violations: dict = field(default_factory=dict)
 
 
-def verify_lemmas(spec, tol=1e-10, bridge_v=1.0):
-    """Check null multiplicity, +/- pairing and (when glueable) the glue laws."""
+def verify_lemmas(spec):
+    """Check null multiplicity, +/- pairing and (when glueable) the glue laws.
+
+    Deviations below :data:`LEMMA_TOL` pass; glueing uses a bridge coupling of
+    :data:`LEMMA_BRIDGE_V`.
+    """
     h = chains.build_hamiltonian(spec)
     spectrum = decompose(h)
     lam = spectrum.eigenvalues
@@ -219,15 +183,15 @@ def verify_lemmas(spec, tol=1e-10, bridge_v=1.0):
     violations["null_multiplicity"] = spectrum.null_multiplicity
 
     pair_dev = float(np.max(np.abs(lam + lam[::-1])))
-    lemma3 = pair_dev < tol
+    lemma3 = pair_dev < LEMMA_TOL
     violations["pairing_deviation"] = pair_dev
 
     lemma1 = lemma4 = None
     if spec.n % 2 == 1 and chains.is_mirror_symmetric(spec):
-        result = glue(spec, bridge_v)
+        result = glue(spec, LEMMA_BRIDGE_V)
         h_child = chains.build_hamiltonian(result.child).toarray()
         lam_child = np.linalg.eigvalsh(h_child)
-        ok1, dev1 = match_contained(lam, lam_child, tol)
+        ok1, dev1 = match_contained(lam, lam_child, LEMMA_TOL)
         lemma1 = ok1
         violations["containment_deviation"] = dev1
 
@@ -239,9 +203,9 @@ def verify_lemmas(spec, tol=1e-10, bridge_v=1.0):
         resid = float(np.max(np.abs(off)))
         lam_a = np.linalg.eigvalsh(result.block_a)
         ok4, dev4 = match_contained(
-            np.concatenate([lam_a, lam]), lam_child, tol
+            np.concatenate([lam_a, lam]), lam_child, LEMMA_TOL
         )
-        lemma4 = resid < max(tol, 1e-12) and ok4
+        lemma4 = resid < LEMMA_TOL and ok4
         violations["block_residual"] = resid
         violations["block_eigen_deviation"] = dev4
 

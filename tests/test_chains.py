@@ -124,6 +124,34 @@ class TestSymmetry:
         assert spec.g == (0.5, 0.5, 0.5)
 
 
+class TestMirrorChain:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_cells=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_symmetric_with_given_left_half(self, n_cells, seed):
+        rng = np.random.default_rng(seed)
+        backbone = tuple(rng.uniform(0.05, 4.0, n_cells))
+        pendants = tuple(rng.uniform(0.05, 4.0, (n_cells + 2) // 2))
+        spec = chains.mirror_chain(backbone, pendants)
+        assert spec.n_cells == n_cells
+        assert chains.backbone_sequence(spec)[:n_cells] == backbone
+        assert spec.g[: len(pendants)] == pendants
+        assert chains.is_mirror_symmetric(spec)
+        # H is invariant under the site reflection itself
+        image = [chains.cell_index(chains.mirror_site(s, n_cells), n_cells) for s in sites(spec)]
+        order = [chains.cell_index(s, n_cells) for s in sites(spec)]
+        h = chains.build_hamiltonian(spec).toarray()
+        assert np.array_equal(h[np.ix_(order, order)], h[np.ix_(image, image)])
+
+    def test_wrong_pendant_count_rejected(self):
+        with pytest.raises(ValidationError):
+            chains.mirror_chain((1.0, 2.0), (1.0,))
+        with pytest.raises(ValidationError):
+            chains.mirror_chain((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -175,6 +175,27 @@ class TestDesignCommand:
         assert payload["t_found"] <= 1000.0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "pgt", "--spec", "n11.json", "--epsilon", "0.05", "--tmax", "{}"],
+        ["design", "bound", "--w", "{}"],
+        ["design", "pst", "--family", "n8", "--k", "1", "--v1", "{}"],
+        ["optimize", "--config", "cfg.json"],
+    ],
+)
+def test_non_finite_input_rejected(workdir, argv, value):
+    write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+    # json.dumps writes inf and nan as Infinity and NaN, which json.load reads back
+    (workdir / "cfg.json").write_text(json.dumps(
+        {"scenario": "fixed_w_opt_g", "k": 2, "seed": 1, "T": float(value),
+         "window_max": True, "fixed_params": {"w": 0.8}}))
+    assert run([a.format(value) for a in argv]) == 2
+    manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+    assert manifest["error"].startswith("ValidationError")
+
+
 class TestOptimizeCommand:
     def config(self, path, **overrides):
         base = {

@@ -111,6 +111,29 @@ class TestPstN11:
         assert np.max(np.abs(series.probability(times) - trace.probability)) < 1e-10
 
 
+class TestChainLayout:
+    """PstDesign.chain() mirrors the backbone (v1, v2[, v3]) and pendants (g1, g2)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_n8(self, k):
+        d = design.design_pst_n8(k, feasible_v1("n8", k, 0.4))
+        v1, c = d.v1, d.couplings
+        assert d.chain() == chains.ChainSpec(
+            n_cells=2, t=(v1, c["v2"]), w=(c["v2"], v1), g=(c["g1"], c["g2"], c["g1"])
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_n11(self, k):
+        d = design.design_pst_n11(k, feasible_v1("n11", k, 0.4))
+        v1, c = d.v1, d.couplings
+        assert d.chain() == chains.ChainSpec(
+            n_cells=3,
+            t=(v1, c["v3"], c["v2"]),
+            w=(c["v2"], c["v3"], v1),
+            g=(c["g1"], c["g2"], c["g2"], c["g1"]),
+        )
+
+
 class TestDimerized:
     def test_bound_at_unity(self):
         assert design.dimerized_upper_bound(1.0) == pytest.approx(1.0, abs=1e-15)

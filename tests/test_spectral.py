@@ -97,6 +97,32 @@ class TestGlue:
         assert np.max(np.abs(off)) < 1e-12
         assert np.allclose(block[: n + 1, : n + 1], result.block_a, atol=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        half_k=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_block_diagonal_in_cell_order_random_chain(self, half_k, seed):
+        # T^T H_child T = block_a (+) H_parent, the parent block in cell order
+        rng = np.random.default_rng(seed)
+        parent = random_symmetric_chain(rng, 2 * half_k)
+        bridge_v = float(rng.uniform(0.1, 3.0))
+        result = spectral.glue(parent, bridge_v)
+        n = parent.n
+        h_p = chains.build_hamiltonian(parent).toarray()
+        border = np.zeros(n + 1)
+        border[n - 2] = np.sqrt(2.0) * bridge_v  # the left copy's right corner
+        assert np.array_equal(result.block_a[:n, :n], h_p)
+        assert np.array_equal(result.block_a[n], border)
+        assert np.array_equal(result.block_a[:, n], border)
+        t = result.transform
+        assert np.max(np.abs(t.T @ t - np.eye(2 * n + 1))) < 1e-12
+        expected = np.zeros((2 * n + 1, 2 * n + 1))
+        expected[: n + 1, : n + 1] = result.block_a
+        expected[n + 1 :, n + 1 :] = h_p
+        h_c = chains.build_hamiltonian(result.child).toarray()
+        assert np.max(np.abs(t.T @ h_c @ t - expected)) < 1e-12
+
     def test_rejects_even_length(self):
         with pytest.raises(StructuralError):
             spectral.glue(chains.homogeneous_chain(8), 1.0)
