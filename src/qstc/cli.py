@@ -109,8 +109,8 @@ def _cmd_evolve(args):
 
     if args.samples < 2:
         raise ValidationError(f"samples must be >= 2, got {args.samples}")
-    if args.tmax <= 0:
-        raise ValidationError(f"tmax must be positive, got {args.tmax}")
+    if not 0 < args.tmax < np.inf:
+        raise ValidationError(f"tmax must be positive and finite, got {args.tmax}")
     spec = chains.load_spec(args.spec_file)
     times = np.linspace(0.0, args.tmax, args.samples)
     trace = dynamics.transfer_probability(spec, times)

@@ -78,8 +78,8 @@ class PstDesign:
 
 
 def _check_feasible(family, k, v1):
-    if not math.isfinite(v1):
-        raise ValidationError(f"v1 must be finite, got {v1}")
+    if not 0 < v1 < math.inf:
+        raise ValidationError(f"v1 must be positive and finite, got {v1}")
     lo, hi = feasible_interval(family, k)
     if not lo < v1 * v1 < hi:
         raise InfeasibleDesignError(
@@ -265,16 +265,18 @@ class PgtSearchResult:
 def pgt_search(series, epsilon, t_max):
     """Earliest refined peak with 1 - P(t) < epsilon on a cosine series.
 
-    :func:`dynamics.scan_peaks` with amplitude cap sqrt(1 - epsilon), stopped
-    at the first chunk with a hit; otherwise the best peak seen is kept.
+    The one-row caller of :func:`dynamics.scan_peaks` with amplitude cap
+    sqrt(1 - epsilon), stopped at the first chunk with a hit; otherwise the
+    best peak seen is kept.
     """
     if not 0 < epsilon < 1:
         raise ValidationError(f"epsilon must be in (0,1), got {epsilon}")
     if not 0 < t_max < math.inf:
         raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     best_t, best_p, used = 0.0, -1.0, 0
-    for times, probs, evaluations in dynamics.scan_peaks(
-        series, t_max, amplitude_cap=math.sqrt(1.0 - epsilon)
+    for _, times, probs, evaluations in dynamics.scan_peaks(
+        [series.frequencies], [series.coefficients], t_max,
+        amplitude_cap=math.sqrt(1.0 - epsilon),
     ):
         used += evaluations
         hits = np.flatnonzero(1.0 - probs < epsilon)
@@ -289,7 +291,7 @@ def pgt_search(series, epsilon, t_max):
         t_found=best_t if reached else None,
         reached=reached,
         best_t=best_t,
-        best_infidelity=1.0 - float(series.probability(best_t)[0]),
+        best_infidelity=1.0 - best_p,
         scan_budget=used,
         frequencies=series.frequencies,
     )

@@ -9,12 +9,21 @@ tridiagonal Jacobi matrix J = H^2 restricted to the A1 qubits
 (:func:`chains.jacobi_matrix`).  The same series serves sampled traces,
 pretty-good-transfer arguments and peak searches.
 
-:func:`scan_peaks` is the one scan-and-refine peak search; window maxima
-(:func:`peak_search`) and pretty good transfer (:func:`design.pgt_search`) use it.
-Its uniform grid t_m = m h is sampled from two phasor tables per chunk
-(:func:`phasor_amplitude`), not from one cosine per sample and frequency;
-its certificate allows for the rounding of those samples, and every P it
-reports is a direct evaluation of the series at the reported time.
+The series work on stacks too: :func:`jacobi_series` turns an (m, n, n) stack
+of Jacobi matrices into (m, n) frequency and coefficient arrays with one
+``eigh`` call, and :func:`amplitudes` evaluates them row by row.  Sums over
+frequencies go through ``einsum``, so P(t) has the same bits whatever the
+call shape.
+
+:func:`scan_peaks` is the one scan-and-refine peak search, over a stack of
+series: the optimizer's window maxima scan a whole population in one call,
+and :func:`peak_search` and :func:`design.pgt_search` are its one-row callers.
+Each member keeps its own uniform grid t_m = m h, sampled from two phasor
+tables (:func:`phasor_amplitude`) in one batched product per chunk, not from
+one cosine per sample and frequency; the certificate allows for the rounding
+of those samples, all candidates of a chunk are refined by the same Newton
+steps, and every P it reports is a direct evaluation of the series at the
+reported time.
 
 The averaged transmission fidelity is f = 1/2 + sqrt(P)/3 + P/6 with the
 controllable phase set to its optimal value.
@@ -126,8 +135,13 @@ class CosineSeries:
         return float(max(self.frequencies)) if self.frequencies else 0.0
 
     def amplitude(self, times):
+        """a(t) at each time; ``einsum`` sums each time in one fixed order, so a
+        value has the same bits whatever the call shape (BLAS dot and gemv
+        round differently)."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.cos(np.outer(times, self.frequencies)) @ np.asarray(self.coefficients)
+        return np.einsum(
+            "ij,j->i", np.cos(np.outer(times, self.frequencies)), np.asarray(self.coefficients)
+        )
 
     def probability(self, times):
         return self.amplitude(times) ** 2
@@ -154,6 +168,17 @@ class CosineSeries:
         }
 
 
+def jacobi_series(jacobi):
+    """Frequencies and coefficients of a Jacobi matrix or an (m, n, n) stack.
+
+    One ``np.linalg.eigh`` call for the whole stack; row k of each result is
+    member k's series, frequencies ascending.
+    """
+    mu, u = np.linalg.eigh(jacobi)
+    freqs = np.sqrt(np.maximum(mu, 0.0))  # roundoff when some g_i^2 is tiny
+    return freqs, u[..., 0, :] * u[..., -1, :]
+
+
 def chain_series(spec):
     """Cosine series between the corner qubits of any chain.
 
@@ -163,98 +188,163 @@ def chain_series(spec):
     positive definite, so every frequency is positive.  Frequencies come out
     ascending.  No mirror symmetry is needed.
     """
-    mu, u = np.linalg.eigh(chains.jacobi_matrix(spec))
-    freqs = np.sqrt(np.maximum(mu, 0.0))  # roundoff when some g_i^2 is tiny
-    return CosineSeries(tuple(freqs.tolist()), tuple((u[0] * u[-1]).tolist()))
+    freqs, coeffs = jacobi_series(chains.jacobi_matrix(spec))
+    return CosineSeries(tuple(freqs.tolist()), tuple(coeffs.tolist()))
 
 
-def scan_size(series, t_max):
-    """Samples over [0, t_max]: step <= pi/(8 f_max) (4x Nyquist), at least 65."""
-    return max(int(np.ceil(t_max * 8 * series.max_frequency / np.pi)) + 1, 65)
+def amplitudes(frequencies, coefficients, times):
+    """a_k(t_k) = sum_j c_kj cos(f_kj t_k), row by row, for (m, n_freq) stacks.
+
+    Each row is summed by ``einsum`` in one fixed order, as in
+    :meth:`CosineSeries.amplitude`, so a value has the same bits in any stack.
+    """
+    return np.einsum("kj,kj->k", np.cos(times[:, None] * frequencies), coefficients)
+
+
+def scan_size(max_frequency, t_max):
+    """Samples over [0, t_max]: step <= pi/(8 f_max) (4x Nyquist), at least 65.
+
+    Elementwise over an array of maximum frequencies.
+    """
+    return np.maximum(np.ceil(t_max * 8 * np.asarray(max_frequency) / np.pi).astype(int) + 1, 65)
 
 
 def phasor_amplitude(frequencies, coefficients, h, start, size):
-    """a(m h) for m = start, ..., start + size - 1, from two phasor tables.
+    """Samples a_k(m h_k), m = start_k, ..., start_k + size_k - 1, of a stack.
 
-    With m = start + B r + b (B = PHASOR_BLOCK, 0 <= b < B),
-    a(m h) = Re sum_j [c_j exp(i f_j h (start + B r))] [exp(i f_j h b)]: one
-    (rows x n_freq) @ (n_freq x B) product, which costs (rows + B) n_freq
-    complex exponentials instead of one cosine per sample and frequency.
-    A sample is within a few eps (1 + f_max m h) sum |c_j| of the direct
-    cosine sum, which is itself only that close to the exact amplitude.
+    Row k of the (S, n_freq) stacks gets its own step h_k, start and size.
+    With m = start_k + B r + b (B = PHASOR_BLOCK, 0 <= b < B),
+    a_k(m h_k) = Re sum_j [c_kj exp(i f_kj h_k (start_k + B r))] [exp(i f_kj h_k b)],
+    and the real part of that product is one real (rows x 2 n_freq) @
+    (2 n_freq x B) product per row, batched over the rows: it costs
+    (rows + B) n_freq cosines and sines per row instead of one cosine per
+    sample and frequency.  A sample is within a few eps (1 + f_max m h) sum |c_j|
+    of the direct cosine sum, which is itself only that close to the exact
+    amplitude.  Returns an (S, B * rows) array, rows = ceil(max size / B);
+    row k holds its samples in its first size_k entries.
     """
     f = np.asarray(frequencies, dtype=float)
-    rows = -(-size // PHASOR_BLOCK)
-    outer = np.asarray(coefficients) * np.exp(
-        1j * h * np.outer(start + PHASOR_BLOCK * np.arange(rows), f)
-    )
-    inner = np.exp(1j * h * np.outer(f, np.arange(PHASOR_BLOCK)))
-    return (outer @ inner).real.ravel()[:size]
+    c = np.asarray(coefficients, dtype=float)[:, None, :]
+    h = np.asarray(h, dtype=float)[:, None, None]
+    rows = -(-int(np.max(size)) // PHASOR_BLOCK)
+    steps = np.asarray(start)[:, None] + PHASOR_BLOCK * np.arange(rows)
+    theta = h * (steps[:, :, None] * f[:, None, :])
+    phi = h * (f[:, :, None] * np.arange(PHASOR_BLOCK))
+    outer = np.concatenate((c * np.cos(theta), -c * np.sin(theta)), axis=2)
+    inner = np.concatenate((np.cos(phi), np.sin(phi)), axis=1)
+    return (outer @ inner).reshape(len(f), -1)
 
 
-def scan_peaks(series, t_max, amplitude_cap=None):
-    """Forward scan-and-refine of P(t) = a(t)^2 over [0, t_max].
+def _chunks(sizes):
+    """Consecutive segment ranges whose padded sample blocks fit in SCAN_CHUNK.
 
-    The :func:`scan_size` grid t_m = m h goes in chunks of SCAN_CHUNK steps
-    that share their boundary samples; :func:`phasor_amplitude` samples each
-    chunk.  An interior maximum of |a| has a' = 0, so it exceeds its nearest
-    sample by at most sum |c_j| f_j^2 h^2 / 8.  A computed sample, from the
-    tables or from direct cosines alike, is off by about
-    eps (1 + f_max t_max) sum |c_j| at most, so delta is the first bound plus
-    the rounding allowance eta = 4 eps (1 + f_max t_max) sum |c_j|.  Every
-    local maximum of the sampled |a| (end samples count) with
-    |a_s| + delta >= floor gets Newton steps on a' = 0, clipped to its
-    neighbouring samples, and keeps the better of sample and refined point.
-    The floor is the chunk's largest |a_s|, capped at ``amplitude_cap``.
+    A range's block is (segments x widest segment) samples, rounded up to
+    whole PHASOR_BLOCK rows; a segment that fills a block alone is its own range.
+    """
+    rows = -(-sizes // PHASOR_BLOCK)
+    first, widest = 0, 0
+    for i, r in enumerate(rows.tolist()):
+        widest = max(widest, r)
+        if i > first and (i - first + 1) * widest * PHASOR_BLOCK > SCAN_CHUNK:
+            yield first, i
+            first, widest = i, r
+    yield first, len(rows)
 
-    Yields ``(times, probs, evaluations)`` per chunk: the refined candidates
-    in time order, their P evaluated directly by the series at those times,
+
+def _candidates(f, c, h, delta, start, size, amplitude_cap):
+    """(segment, position) of every sample of a chunk that :func:`scan_peaks` refines.
+
+    The sample block lives only here, so a chunk's samples are freed before
+    the next chunk is sampled.
+    """
+    amp = phasor_amplitude(f, c, h, start, size)
+    np.abs(amp, out=amp)
+    amp[np.arange(amp.shape[1]) >= size[:, None]] = -np.inf  # padding
+    floor = amp.max(axis=1)
+    if amplitude_cap is not None:
+        floor = np.minimum(amplitude_cap, floor)
+    cand = amp >= (floor - delta)[:, None]
+    cand[:, 1:] &= amp[:, 1:] >= amp[:, :-1]  # the first and last samples of a
+    cand[:, :-1] &= amp[:, :-1] >= amp[:, 1:]  # segment compare one side
+    return np.nonzero(cand)
+
+
+def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None):
+    """Forward scan-and-refine of P_k(t) = a_k(t)^2 over [0, t_max] for a stack.
+
+    Row k of the (m, n_freq) ``frequencies`` and ``coefficients`` is one
+    series.  It is scanned on its own :func:`scan_size` grid t = i h_k, cut into
+    segments of SCAN_CHUNK steps that share their boundary samples.  Segments
+    go in member order in chunks whose padded sample block holds at most
+    SCAN_CHUNK samples (a longer segment goes alone), which bounds the memory
+    of a scan; :func:`phasor_amplitude` samples a chunk in one batched product.
+
+    An interior maximum of |a_k| has a' = 0, so it exceeds its nearest sample
+    by at most sum |c_j| f_j^2 h_k^2 / 8.  A computed sample, from the tables
+    or from direct cosines alike, is off by about eps (1 + f_max t_max) sum |c_j|
+    at most, so member k's delta is the first bound plus the rounding
+    allowance eta = 4 eps (1 + f_max t_max) sum |c_j|.  Every local maximum of
+    a segment's sampled |a_k| (segment ends count) with |a_s| >= floor - delta
+    is a candidate; the floor is the segment's largest |a_s|, capped at
+    ``amplitude_cap``.  All candidates of a chunk get the same Newton steps on
+    a' = 0, each clipped to its neighbouring samples, and keep the better of
+    sample and refined point.
+
+    Yields ``(members, times, probs, evaluations)`` per chunk: each
+    candidate's row, its time (in time order within a segment), its P from
+    :func:`amplitudes` at that time (so ``series.probability(t)`` bit for bit),
     and the samples plus refinement evaluations made.
     """
-    n = scan_size(series, t_max)
-    h = t_max / (n - 1)
-    f = np.asarray(series.frequencies, dtype=float)
-    c = np.asarray(series.coefficients, dtype=float)
+    f = np.asarray(frequencies, dtype=float)
+    c = np.asarray(coefficients, dtype=float)
     cf = c * f
     cff = cf * f
-    eta = 4 * np.finfo(float).eps * (1 + series.max_frequency * t_max) * series.amplitude_ceiling
-    delta = float(np.abs(cf) @ f) * h * h / 8 + eta
-    for start in range(0, n - 1, SCAN_CHUNK):
-        grid = t_max * (np.arange(start, min(start + SCAN_CHUNK, n - 1) + 1) / (n - 1))
-        amp = np.abs(phasor_amplitude(f, c, h, start, grid.size))
-        floor = amp.max() if amplitude_cap is None else min(amplitude_cap, amp.max())
-        padded = np.concatenate(([-1.0], amp, [-1.0]))  # ends compare one side
-        local_max = (amp >= padded[:-2]) & (amp >= padded[2:])
-        cand = np.flatnonzero(local_max & (amp + delta >= floor))
-        lo, hi = grid[np.maximum(cand - 1, 0)], grid[np.minimum(cand + 1, grid.size - 1)]
-        t = grid[cand]
+    f_max = f.max(axis=1, initial=0.0)
+    n = scan_size(f_max, t_max)
+    h = t_max / (n - 1)
+    eta = 4 * np.finfo(float).eps * (1 + f_max * t_max) * np.abs(c).sum(axis=1)
+    delta = np.einsum("kj,kj->k", np.abs(cf), f) * h * h / 8 + eta
+    per = -(-(n - 1) // SCAN_CHUNK)
+    member = np.repeat(np.arange(len(f)), per)
+    start = (np.arange(member.size) - np.repeat(np.cumsum(per) - per, per)) * SCAN_CHUNK
+    size = np.minimum(start + SCAN_CHUNK, n[member] - 1) - start + 1
+    for first, last in _chunks(size):
+        k, st, sz = member[first:last], start[first:last], size[first:last]
+        seg, pos = _candidates(f[k], c[k], h[k], delta[k], st, sz, amplitude_cap)
+        rows, index, span = k[seg], st[seg] + pos, n[k[seg]] - 1
+        sample = t_max * (index / span)
+        lo = t_max * (np.maximum(index - 1, st[seg]) / span)
+        hi = t_max * (np.minimum(index + 1, st[seg] + sz[seg] - 1) / span)
+        fr, cfr, cffr, tol = f[rows], cf[rows], cff[rows], 1e-8 * h[rows]
+        t = sample
         for steps in range(1, NEWTON_STEPS + 1):
             # a' = -sum c f sin(f t), a'' = -sum c f^2 cos(f t); the signs cancel
-            phase = np.outer(t, f)
-            d1, d2 = np.sin(phase) @ cf, np.cos(phase) @ cff
+            phase = t[:, None] * fr
+            d1 = np.einsum("kj,kj->k", np.sin(phase), cfr)
+            d2 = np.einsum("kj,kj->k", np.cos(phase), cffr)
             moved = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0), lo, hi)
-            t, done = moved, np.all(np.abs(moved - t) <= 1e-8 * h)
+            t, done = moved, np.all(np.abs(moved - t) <= tol)
             if done:
                 break
         # the samples' own P comes from the series too, not from the tables
-        p = series.probability(np.concatenate((t, grid[cand])))
-        p, p_sample = p[: cand.size], p[cand.size :]
+        p = amplitudes(fr, c[rows], t) ** 2
+        p_sample = amplitudes(fr, c[rows], sample) ** 2
         better = p > p_sample
-        yield (np.where(better, t, grid[cand]), np.where(better, p, p_sample),
-               grid.size + (steps + 1) * cand.size)
+        yield (rows, np.where(better, t, sample), np.where(better, p, p_sample),
+               int(sz.sum()) + (steps + 1) * rows.size)
 
 
 def peak_search(series, t_max):
     """(t*, P*) at the global maximum of P over [0, t_max], by :func:`scan_peaks`.
 
-    P* is ``series.probability(t*)`` (capped at 1), bit for bit: a batched
-    evaluation may differ from the one-time one in the last bits.
+    The one-row caller of the stacked scan; P* is ``series.probability(t*)``
+    capped at 1, bit for bit.
     """
     if not 0 < t_max < np.inf:
         raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     best_t, best_p = 0.0, -1.0
-    for times, probs, _ in scan_peaks(series, t_max):
+    for _, times, probs, _ in scan_peaks([series.frequencies], [series.coefficients], t_max):
         i = int(np.argmax(probs))
         if probs[i] > best_p:
             best_t, best_p = float(times[i]), float(probs[i])
-    return best_t, min(float(series.probability(best_t)[0]), 1.0)
+    return best_t, min(best_p, 1.0)

@@ -11,7 +11,13 @@ assembled from the scenario's parameterization:
   k + 4 variables in total.
 
 The search is a differential-evolution loop (rand/1/bin) with a seeded
-generator; identical problems and budgets give bitwise-identical results.
+generator and deferred updates (Storn & Price, J. Global Optim. 11, 341
+(1997)): each generation builds every member's trial against the
+generation's frozen population, with each member's draws taken in member
+order, evaluates the whole trial population as one stack through
+:func:`objective`, and then keeps each trial that is at least as good as its
+parent.  Identical problems and budgets give bitwise-identical results, so
+seeded runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -238,20 +244,42 @@ def problems_from_config(config):
 
 
 def objective(problem, params):
-    """Transfer probability P(T) for one parameter vector."""
+    """Transfer probability for one parameter vector or an (m, dim) stack.
+
+    P(T), or with ``window_max`` the maximum of P over [0, T].  Every member is
+    bounds-checked and built through ``problem.chain`` and
+    :func:`chains.jacobi_matrix`; the stack then takes one ``eigh`` call
+    (:func:`dynamics.jacobi_series`) and, for window maxima, one
+    :func:`dynamics.scan_peaks` call.  A vector gives a float, a stack an
+    array; a stacked value has the same bits as the vector's for fixed T, and
+    agrees with it to roundoff for window maxima.
+    """
     params = np.asarray(params, dtype=float)
-    if params.shape != (problem.dimension,):
+    stack = np.atleast_2d(params)
+    if params.ndim not in (1, 2) or stack.shape[1:] != (problem.dimension,):
         raise ValidationError(
-            f"expected {problem.dimension} parameters, got shape {params.shape}"
+            f"expected {problem.dimension} parameters per vector, got shape {params.shape}"
         )
-    for x, (lo, hi) in zip(params, problem.bounds):
-        if not lo <= x <= hi:
-            raise ValidationError(f"parameter {x} outside bounds ({lo}, {hi})")
-    spec = problem.chain(params)
+    lo, hi = np.array(problem.bounds).T
+    outside = ~((lo <= stack) & (stack <= hi))
+    if outside.any():
+        row, col = np.argwhere(outside)[0]
+        raise ValidationError(
+            f"parameter {stack[row, col]} outside bounds ({lo[col]}, {hi[col]})"
+        )
+    jacobi = np.array([chains.jacobi_matrix(problem.chain(x)) for x in stack])
+    freqs, coeffs = dynamics.jacobi_series(jacobi)
+    arrival = problem.arrival_time
     if problem.window_max:
-        return dynamics.peak_search(dynamics.chain_series(spec), problem.arrival_time)[1]
-    trace = dynamics.transfer_probability(spec, [problem.arrival_time])
-    return float(trace.probability[0])
+        probs = np.full(len(stack), -1.0)
+        for members, _, peaks, _ in dynamics.scan_peaks(freqs, coeffs, arrival):
+            np.maximum.at(probs, members, peaks)
+    else:
+        probs = dynamics.amplitudes(freqs, coeffs, np.full(len(stack), arrival)) ** 2
+        if probs.max() > 1 + dynamics.PROB_SLACK:
+            raise ValidationError(f"probability above 1: max {probs.max()}")
+    probs = np.minimum(probs, 1.0)
+    return probs if params.ndim == 2 else float(probs[0])
 
 
 def neg_log_infidelity(p):
@@ -309,10 +337,11 @@ def optimize(problem, budget, warm_start=None):
     pop = rng.uniform(lo, hi, size=(pop_size, dim))
     if warm_start is not None:
         pop[0] = np.clip(np.asarray(warm_start, dtype=float), lo, hi)
-    fitness = np.array([objective(problem, x) for x in pop])
+    fitness = objective(problem, pop)
     evaluations = pop_size
     trajectory = [float(fitness.max())]
 
+    trials = np.empty_like(pop)
     while evaluations + pop_size <= budget:
         for i in range(pop_size):
             r = rng.choice(pop_size - 1, size=3, replace=False)
@@ -321,12 +350,12 @@ def optimize(problem, budget, warm_start=None):
             mutant = np.clip(mutant, lo, hi)
             mask = rng.random(dim) < CROSSOVER
             mask[rng.integers(dim)] = True
-            trial = np.where(mask, mutant, pop[i])
-            f_trial = objective(problem, trial)
-            evaluations += 1
-            if f_trial >= fitness[i]:
-                pop[i] = trial
-                fitness[i] = f_trial
+            trials[i] = np.where(mask, mutant, pop[i])
+        f_trial = objective(problem, trials)
+        evaluations += pop_size
+        better = f_trial >= fitness
+        pop[better] = trials[better]
+        fitness[better] = f_trial[better]
         trajectory.append(max(trajectory[-1], float(fitness.max())))
 
     best = int(np.argmax(fitness))

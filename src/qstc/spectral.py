@@ -106,8 +106,8 @@ def glue(parent, bridge_v):
     The parent must be mirror symmetric with an odd number of qubits; the new
     qubit couples to both backbone end qubits with strength ``bridge_v``.
     """
-    if bridge_v <= 0:
-        raise ValidationError(f"bridge coupling must be positive, got {bridge_v}")
+    if not 0 < bridge_v < np.inf:
+        raise ValidationError(f"bridge coupling must be positive and finite, got {bridge_v}")
     if parent.n % 2 == 0:
         raise StructuralError(f"cannot glue an even-length chain (N={parent.n})")
     if not chains.is_mirror_symmetric(parent):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,17 @@ class TestDesignCommand:
         assert set(payload["couplings"]) == {"v2", "g1", "g2"}
         assert payload["target_spectrum"] == [-3, -2, -1, 0, 0, 1, 2, 3]
 
+    @pytest.mark.parametrize("v1", ["-1.8", "0"])
+    def test_non_positive_v1_rejected(self, workdir, v1):
+        # v1^2 = 3.24 is feasible for n8, k = 1, but the coupling itself is not
+        out = workdir / "design.json"
+        code = run(["design", "pst", "--family", "n8", "--k", "1", f"--v1={v1}",
+                    "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert "v1 must be positive and finite" in manifest["error"]
+
     def test_infeasible_exit_code(self, workdir):
         assert run(["design", "pst", "--family", "n8", "--k", "1", "--v1", "2.5"]) == 4
         manifest = json.loads((workdir / "qstc-manifest.json").read_text())
@@ -194,6 +206,27 @@ def test_non_finite_input_rejected(workdir, argv, value):
     assert run([a.format(value) for a in argv]) == 2
     manifest = json.loads((workdir / "qstc-manifest.json").read_text())
     assert manifest["error"].startswith("ValidationError")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["glue", "n11.json", "--bridge-v={}"], "bridge coupling must be positive and finite"),
+        (["evolve", "n11.json", "--samples", "10", "--tmax={}"],
+         "tmax must be positive and finite"),
+    ],
+)
+def test_bad_glue_and_evolve_values_rejected_up_front(workdir, capsys, argv, message, value):
+    write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([a.format(value) for a in argv]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+    assert manifest["error"].startswith("ValidationError")
+    assert message in manifest["error"]
 
 
 class TestOptimizeCommand:

@@ -225,7 +225,7 @@ class TestPgtSearch:
         result = design.pgt_search(series, 0.5, 10.0)
         assert not result.reached
         assert result.best_infidelity == 0.75
-        assert result.scan_budget >= dynamics.scan_size(series, 10.0)
+        assert result.scan_budget >= dynamics.scan_size(series.max_frequency, 10.0)
 
     def test_input_validation(self):
         series = design.probability_closed_form_pst("n8", 1)

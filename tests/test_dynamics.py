@@ -258,7 +258,8 @@ class TestPeakSearch:
     def test_not_below_finer_grid_random_chain(self, n_cells, seed, t_max):
         series = dynamics.chain_series(random_non_mirror_chain(n_cells, seed))
         t_star, p_star = dynamics.peak_search(series, t_max)
-        fine = np.linspace(0.0, t_max, 16 * (dynamics.scan_size(series, t_max) - 1) + 1)
+        n = dynamics.scan_size(series.max_frequency, t_max)
+        fine = np.linspace(0.0, t_max, 16 * (n - 1) + 1)
         assert p_star >= series.probability(fine).max() - 1e-12
         assert 0.0 <= t_star <= t_max
         assert p_star == min(float(series.probability(t_star)[0]), 1.0)
@@ -286,10 +287,38 @@ class TestPeakSearch:
         assert p_star == pytest.approx(whole_p, abs=1e-15)
         assert p_star == float(series.probability(t_star)[0])
         # every sample is scanned, each shared boundary sample once per chunk
-        n = dynamics.scan_size(series, t_max)
-        chunked = list(dynamics.scan_peaks(series, t_max))
+        n = dynamics.scan_size(series.max_frequency, t_max)
+        chunked = list(dynamics.scan_peaks([series.frequencies], [series.coefficients], t_max))
         assert len(chunked) == -(-(n - 1) // chunk)
-        assert sum(e for _, _, e in chunked) >= n + len(chunked) - 1
+        assert sum(e for _, _, _, e in chunked) >= n + len(chunked) - 1
+
+
+class TestCallShape:
+    @pytest.mark.parametrize("n_freq", [2, 3, 5, 8, 13, 20])
+    def test_amplitude_bits_do_not_depend_on_call_shape(self, n_freq):
+        rng = np.random.default_rng(n_freq)
+        series = dynamics.CosineSeries(
+            tuple(rng.uniform(0.0, 6.0, n_freq)), tuple(rng.normal(size=n_freq))
+        )
+        times = rng.uniform(0.0, 1e4, 500)
+        batched = series.amplitude(times)
+        one_at_a_time = np.array([series.amplitude(t)[0] for t in times])
+        split = np.concatenate((series.amplitude(times[:7]), series.amplitude(times[7:])))
+        f = np.tile(series.frequencies, (times.size, 1))
+        c = np.tile(series.coefficients, (times.size, 1))
+        stacked = dynamics.amplitudes(f, c, times)
+        for other in (one_at_a_time, split, stacked):
+            assert np.array_equal(batched, other)
+
+    def test_stacked_eigh_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(3)
+        specs = [random_non_mirror_chain(4, int(seed)) for seed in rng.integers(0, 2**32, 40)]
+        jacobi = np.array([chains.jacobi_matrix(spec) for spec in specs])
+        freqs, coeffs = dynamics.jacobi_series(jacobi)
+        for spec, f, c in zip(specs, freqs, coeffs):
+            series = dynamics.chain_series(spec)
+            assert tuple(f) == series.frequencies
+            assert tuple(c) == series.coefficients
 
 
 class TestPhasorSamples:
@@ -304,15 +333,16 @@ class TestPhasorSamples:
         spec = random_non_mirror_chain(n_cells, seed)
         assume(not chains.is_mirror_symmetric(spec))
         series = dynamics.chain_series(spec)
-        n = dynamics.scan_size(series, t_max)
+        n = dynamics.scan_size(series.max_frequency, t_max)
         h = t_max / (n - 1)
         size = min(n, 3000)
         start = int(where * (n - size))  # a window anywhere on the grid
-        table = dynamics.phasor_amplitude(
-            series.frequencies, series.coefficients, h, start, size
+        (table,) = dynamics.phasor_amplitude(
+            [series.frequencies], [series.coefficients], [h], [start], [size]
         )
         direct = series.amplitude(t_max * (np.arange(start, start + size) / (n - 1)))
-        assert table.shape == (size,)
+        assert table.shape == (-(-size // dynamics.PHASOR_BLOCK) * dynamics.PHASOR_BLOCK,)
+        table = table[:size]
         assert np.max(np.abs(table - direct)) <= 4 * rounding_unit(series, t_max)
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstc import chains, design, dynamics, optimize
 from qstc.errors import ValidationError
@@ -96,7 +98,124 @@ class TestObjective:
         assert optimize.neg_log_infidelity(0.9) == pytest.approx(1.0)
 
 
+def random_problem(scenario, k, arrival_time, window_max):
+    fixed = {optimize.Scenario.FIXED_W_OPT_G: {"w": 0.7},
+             optimize.Scenario.ALPHA_OPT_TG: {"alpha": 1.6}}.get(scenario, {})
+    return optimize.OptProblem(scenario=scenario, k=k, arrival_time=arrival_time, seed=0,
+                               fixed_params=fixed, window_max=window_max)
+
+
+def random_population(problem, size, seed):
+    """Uniform members with about 30 % of the coordinates snapped to a bound, as DE clips."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(problem.bounds).T
+    pop = rng.uniform(lo, hi, size=(size, problem.dimension))
+    snap = rng.random(pop.shape) < 0.3
+    pop[snap] = np.where(rng.random(pop.shape) < 0.5, lo, hi)[snap]
+    return pop
+
+
+class TestStackedObjective:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=st.sampled_from(list(optimize.Scenario)),
+        k=st.integers(min_value=0, max_value=4),
+        arrival_time=st.floats(min_value=0.5, max_value=80.0),
+        size=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        window_max=st.booleans(),
+    )
+    def test_stack_equals_row_by_row(self, scenario, k, arrival_time, size, seed, window_max):
+        problem = random_problem(scenario, k, arrival_time, window_max)
+        pop = random_population(problem, size, seed)
+        stacked = optimize.objective(problem, pop)
+        assert stacked.shape == (size,)
+        for x, value in zip(pop, stacked):
+            spec = problem.chain(x)
+            if window_max:
+                row = dynamics.peak_search(dynamics.chain_series(spec), arrival_time)[1]
+                assert value == pytest.approx(row, abs=1e-12)
+            else:
+                row = dynamics.transfer_probability(spec, [arrival_time]).probability[0]
+                assert value == row == optimize.objective(problem, x)
+
+    @pytest.mark.parametrize("scenario", list(optimize.Scenario))
+    def test_scan_chunk_does_not_change_window_maxima(self, monkeypatch, scenario):
+        problem = random_problem(scenario, 2, 40.0, True)
+        pop = random_population(problem, 20, 5)
+        whole = optimize.objective(problem, pop)
+        for chunk in (7, 64, 1000):
+            monkeypatch.setattr(dynamics, "SCAN_CHUNK", chunk)
+            assert np.max(np.abs(optimize.objective(problem, pop) - whole)) <= 1e-12
+
+    def test_one_dimensional_vector_gives_a_float(self):
+        p = small_problem()
+        assert isinstance(optimize.objective(p, [1.1]), float)
+        with pytest.raises(ValidationError):
+            optimize.objective(p, [[[1.1]]])
+        with pytest.raises(ValidationError, match="outside bounds"):
+            optimize.objective(p, [[1.1], [np.nan]])
+
+
+def deferred_de_reference(problem, budget, objective):
+    """rand/1/bin with deferred updates, one objective call per trial."""
+    dim, pop_size = problem.dimension, optimize.POPULATION_FACTOR * problem.dimension
+    rng = np.random.default_rng(problem.seed)
+    lo, hi = np.array(problem.bounds).T
+    pop = rng.uniform(lo, hi, size=(pop_size, dim))
+    fitness = np.array([objective(problem, x) for x in pop])
+    trajectory, evaluations = [fitness.max()], pop_size
+    while evaluations + pop_size <= budget:
+        frozen, trials = pop.copy(), []
+        for i in range(pop_size):
+            r = rng.choice(pop_size - 1, size=3, replace=False)
+            r[r >= i] += 1
+            mutant = np.clip(frozen[r[0]] + optimize.DIFFERENTIAL_WEIGHT
+                             * (frozen[r[1]] - frozen[r[2]]), lo, hi)
+            mask = rng.random(dim) < optimize.CROSSOVER
+            mask[rng.integers(dim)] = True
+            trials.append(np.where(mask, mutant, frozen[i]))
+        for i, trial in enumerate(trials):
+            f_trial = objective(problem, trial)
+            if f_trial >= fitness[i]:
+                pop[i], fitness[i] = trial, f_trial
+        evaluations += pop_size
+        trajectory.append(max(trajectory[-1], fitness.max()))
+    return pop[np.argmax(fitness)], fitness.max(), evaluations, trajectory
+
+
 class TestOptimize:
+    def test_one_objective_call_per_generation(self, monkeypatch):
+        p = small_problem(scenario=optimize.Scenario.ALPHA_OPT_TG, fixed_params={"alpha": 2.0})
+        shapes = []
+        objective = optimize.objective
+
+        def recording(problem, params):
+            shapes.append(np.shape(params))
+            return objective(problem, params)
+
+        monkeypatch.setattr(optimize, "objective", recording)
+        res = optimize.optimize(p, 400)
+        pop_size = optimize.POPULATION_FACTOR * p.dimension
+        generations = (400 - pop_size) // pop_size
+        assert shapes == [(pop_size, p.dimension)] * (generations + 1)
+        assert res.evaluations == pop_size * (generations + 1)
+        assert len(res.trajectory) == generations + 1
+
+    def test_matches_deferred_reference(self):
+        # fixed T: a stacked value has the bits of the one-vector value, so the
+        # stacked generation must reproduce the one-trial-at-a-time loop exactly
+        p = small_problem(scenario=optimize.Scenario.FULL_K_PLUS_4, k=1, fixed_params={},
+                          arrival_time=30.0)
+        res = optimize.optimize(p, 1050)
+        best, best_p, evaluations, trajectory = deferred_de_reference(
+            p, 1050, optimize.objective
+        )
+        assert res.best_params == tuple(best)
+        assert res.best_p == best_p
+        assert res.evaluations == evaluations
+        assert list(res.trajectory) == trajectory
+
     def test_determinism(self):
         p = small_problem()
         r1 = optimize.optimize(p, 300)
