@@ -18,12 +18,15 @@ call shape.
 :func:`scan_peaks` is the one scan-and-refine peak search, over a stack of
 series: the optimizer's window maxima scan a whole population in one call,
 and :func:`peak_search` and :func:`design.pgt_search` are its one-row callers.
-Each member keeps its own uniform grid t_m = m h, sampled from two phasor
+Each member keeps its own uniform grid t_m = m h, sampled from three phasor
 tables (:func:`phasor_amplitude`) in one batched product per chunk, not from
 one cosine per sample and frequency; the certificate allows for the rounding
-of those samples, all candidates of a chunk are refined by the same Newton
-steps, and every P it reports is a direct evaluation of the series at the
-reported time.
+of those samples, local maxima are sought only in the sample blocks whose
+largest |a| could matter, all candidates of a chunk are refined by the same
+Newton steps, and every P it reports is a direct evaluation of the series at
+the reported time.  Given the values to beat (the optimizer passes its
+parents' fitness), the scan skips the members and maxima that cannot reach
+them.
 
 The averaged transmission fidelity is f = 1/2 + sqrt(P)/3 + P/6 with the
 controllable phase set to its optimal value.
@@ -209,30 +212,44 @@ def scan_size(max_frequency, t_max):
     return np.maximum(np.ceil(t_max * 8 * np.asarray(max_frequency) / np.pi).astype(int) + 1, 65)
 
 
+def _phasor(angle):
+    """exp(i angle), written as its cosine and sine."""
+    out = np.empty(np.shape(angle), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def phasor_amplitude(frequencies, coefficients, h, start, size):
     """Samples a_k(m h_k), m = start_k, ..., start_k + size_k - 1, of a stack.
 
     Row k of the (S, n_freq) stacks gets its own step h_k, start and size.
-    With m = start_k + B r + b (B = PHASOR_BLOCK, 0 <= b < B),
-    a_k(m h_k) = Re sum_j [c_kj exp(i f_kj h_k (start_k + B r))] [exp(i f_kj h_k b)],
-    and the real part of that product is one real (rows x 2 n_freq) @
-    (2 n_freq x B) product per row, batched over the rows: it costs
-    (rows + B) n_freq cosines and sines per row instead of one cosine per
-    sample and frequency.  A sample is within a few eps (1 + f_max m h) sum |c_j|
-    of the direct cosine sum, which is itself only that close to the exact
-    amplitude.  Returns an (S, B * rows) array, rows = ceil(max size / B);
-    row k holds its samples in its first size_k entries.
+    With m = start_k + B r + b and r = B a + q (B = PHASOR_BLOCK,
+    0 <= b, q < B), a_k(m h_k) = Re sum_j O_kjr exp(i f_kj h_k b), where the
+    outer entry O_kjr = c_kj exp(i f_kj h_k start_k) exp(i f_kj h_k B^2 a)
+    exp(i f_kj h_k B q) is a product of three phasor tables, so it costs no
+    cosine or sine of its own.  The real parts of a row are one real
+    (B x 2 n_freq) @ (2 n_freq x rows) product on float views of the complex
+    tables, batched over the rows: row k costs (2 B + rows / B + 1) n_freq
+    cosines and sines, not one cosine per sample and frequency.  A sample is
+    within a few eps (1 + f_max m h) sum |c_j| of the direct cosine sum, which
+    is itself only that close to the exact amplitude.  Returns an
+    (S, B, rows) array, rows = ceil(max size / B), whose entry [k, b, r] is
+    sample start_k + B r + b, so a block of B consecutive samples is a column;
+    row k's samples are its first size_k in that order.
     """
     f = np.asarray(frequencies, dtype=float)
-    c = np.asarray(coefficients, dtype=float)[:, None, :]
-    h = np.asarray(h, dtype=float)[:, None, None]
+    fh = f * np.asarray(h, dtype=float)[:, None]
     rows = -(-int(np.max(size)) // PHASOR_BLOCK)
-    steps = np.asarray(start)[:, None] + PHASOR_BLOCK * np.arange(rows)
-    theta = h * (steps[:, :, None] * f[:, None, :])
-    phi = h * (f[:, :, None] * np.arange(PHASOR_BLOCK))
-    outer = np.concatenate((c * np.cos(theta), -c * np.sin(theta)), axis=2)
-    inner = np.concatenate((np.cos(phi), np.sin(phi)), axis=1)
-    return (outer @ inner).reshape(len(f), -1)
+    tops = -(-rows // PHASOR_BLOCK)
+    b = np.arange(PHASOR_BLOCK)[:, None]
+    base = np.asarray(coefficients, dtype=float) * _phasor(fh * np.asarray(start)[:, None])
+    top = _phasor(fh[:, None] * (PHASOR_BLOCK**2 * np.arange(tops)[:, None]))
+    mid = _phasor(fh[:, None] * (PHASOR_BLOCK * b))
+    outer = (base[:, None, None] * top[:, :, None] * mid[:, None]).reshape(len(f), -1, f.shape[1])
+    # exp(-i f h b), so that Re(O exp(i f h b)) is a real dot product
+    inner = _phasor(-fh[:, None] * b)
+    return inner.view(float) @ outer[:, :rows].view(float).transpose(0, 2, 1)
 
 
 def _chunks(sizes):
@@ -248,28 +265,45 @@ def _chunks(sizes):
         if i > first and (i - first + 1) * widest * PHASOR_BLOCK > SCAN_CHUNK:
             yield first, i
             first, widest = i, r
-    yield first, len(rows)
+    if first < len(rows):
+        yield first, len(rows)
 
 
-def _candidates(f, c, h, delta, start, size, amplitude_cap):
+def _candidates(f, c, h, delta, start, size, amplitude_cap, least):
     """(segment, position) of every sample of a chunk that :func:`scan_peaks` refines.
 
-    The sample block lives only here, so a chunk's samples are freed before
-    the next chunk is sampled.
+    Each PHASOR_BLOCK-sample block's largest |a_s| comes first; local maxima
+    are sought only inside the blocks that reach the segment's level.  The
+    sample block lives only here, so a chunk's samples are freed before the
+    next chunk is sampled.
     """
     amp = phasor_amplitude(f, c, h, start, size)
     np.abs(amp, out=amp)
-    amp[np.arange(amp.shape[1]) >= size[:, None]] = -np.inf  # padding
-    floor = amp.max(axis=1)
+    rows = amp.shape[2]
+    first = int(size.min()) // PHASOR_BLOCK  # the first block that can hold padding
+    tail = amp[:, :, first:]
+    tail[PHASOR_BLOCK * np.arange(first, rows) + np.arange(PHASOR_BLOCK)[:, None]
+         >= size[:, None, None]] = -np.inf
+    peak = amp.max(axis=1)
+    floor = peak.max(axis=1)
     if amplitude_cap is not None:
         floor = np.minimum(amplitude_cap, floor)
-    cand = amp >= (floor - delta)[:, None]
-    cand[:, 1:] &= amp[:, 1:] >= amp[:, :-1]  # the first and last samples of a
-    cand[:, :-1] &= amp[:, :-1] >= amp[:, 1:]  # segment compare one side
-    return np.nonzero(cand)
+    level = np.maximum(floor - delta, least)
+    seg, block = np.nonzero(peak >= level[:, None])
+    # each block that reaches the level, with its neighbouring samples; the
+    # first and last samples of a segment compare one side
+    index = np.clip(block[:, None] * PHASOR_BLOCK + np.arange(-1, PHASOR_BLOCK + 1),
+                    0, PHASOR_BLOCK * rows - 1)
+    near = amp[seg[:, None], index % PHASOR_BLOCK, index // PHASOR_BLOCK]
+    near[:, 0][block == 0] = -np.inf
+    near[:, -1][block == rows - 1] = -np.inf
+    mid = near[:, 1:-1]
+    hit = (mid >= level[seg, None]) & (mid >= near[:, :-2]) & (mid >= near[:, 2:])
+    which, offset = np.nonzero(hit)
+    return seg[which], block[which] * PHASOR_BLOCK + offset
 
 
-def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None):
+def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
     """Forward scan-and-refine of P_k(t) = a_k(t)^2 over [0, t_max] for a stack.
 
     Row k of the (m, n_freq) ``frequencies`` and ``coefficients`` is one
@@ -290,6 +324,15 @@ def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None):
     a' = 0, each clipped to its neighbouring samples, and keep the better of
     sample and refined point.
 
+    ``beat`` (a number or one per member) skips the work that cannot give
+    some P_k >= beat_k: a member with sum |c_j| + eta < sqrt(beat_k) is not
+    scanned, a local maximum with |a_s| < sqrt(beat_k) - 2 delta is not a
+    candidate, and a chunk with no candidate left gets no Newton steps.  So a
+    member whose largest P without ``beat`` is >= beat_k gets that largest P
+    again (to roundoff: the Newton step count is shared within a chunk),
+    and any other member's P are all below beat_k, or it yields none.  Which
+    maximum a member below beat_k yields, or where, is not promised.
+
     Yields ``(members, times, probs, evaluations)`` per chunk: each
     candidate's row, its time (in time order within a segment), its P from
     :func:`amplitudes` at that time (so ``series.probability(t)`` bit for bit),
@@ -302,17 +345,26 @@ def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None):
     f_max = f.max(axis=1, initial=0.0)
     n = scan_size(f_max, t_max)
     h = t_max / (n - 1)
-    eta = 4 * np.finfo(float).eps * (1 + f_max * t_max) * np.abs(c).sum(axis=1)
+    ceiling = np.abs(c).sum(axis=1)
+    eta = 4 * np.finfo(float).eps * (1 + f_max * t_max) * ceiling
     delta = np.einsum("kj,kj->k", np.abs(cf), f) * h * h / 8 + eta
     per = -(-(n - 1) // SCAN_CHUNK)
+    least = np.full(len(f), -np.inf)
+    if beat is not None:
+        root = np.sqrt(np.maximum(beat, 0.0))
+        per = np.where(ceiling + eta < root, 0, per)
+        least = root - 2 * delta
     member = np.repeat(np.arange(len(f)), per)
     start = (np.arange(member.size) - np.repeat(np.cumsum(per) - per, per)) * SCAN_CHUNK
     size = np.minimum(start + SCAN_CHUNK, n[member] - 1) - start + 1
     for first, last in _chunks(size):
         k, st, sz = member[first:last], start[first:last], size[first:last]
-        seg, pos = _candidates(f[k], c[k], h[k], delta[k], st, sz, amplitude_cap)
+        seg, pos = _candidates(f[k], c[k], h[k], delta[k], st, sz, amplitude_cap, least[k])
         rows, index, span = k[seg], st[seg] + pos, n[k[seg]] - 1
         sample = t_max * (index / span)
+        if rows.size == 0:
+            yield rows, sample, sample, int(sz.sum())
+            continue
         lo = t_max * (np.maximum(index - 1, st[seg]) / span)
         hi = t_max * (np.minimum(index + 1, st[seg] + sz[seg] - 1) / span)
         fr, cfr, cffr, tol = f[rows], cf[rows], cff[rows], 1e-8 * h[rows]

@@ -243,7 +243,7 @@ def problems_from_config(config):
     return problems
 
 
-def objective(problem, params):
+def objective(problem, params, beat=None):
     """Transfer probability for one parameter vector or an (m, dim) stack.
 
     P(T), or with ``window_max`` the maximum of P over [0, T].  Every member is
@@ -252,7 +252,14 @@ def objective(problem, params):
     (:func:`dynamics.jacobi_series`) and, for window maxima, one
     :func:`dynamics.scan_peaks` call.  A vector gives a float, a stack an
     array; a stacked value has the same bits as the vector's for fixed T, and
-    agrees with it to roundoff for window maxima.
+    agrees with it to roundoff for window maxima.  A P above 1 + PROB_SLACK
+    is an error on both paths.
+
+    ``beat`` (a number or one per member, window maxima only) lets the scan
+    skip what cannot decide ``value >= beat``: a member whose window maximum
+    is >= beat gets that maximum (to roundoff), and any other member gets a
+    value below beat (-1 when none of its maxima was refined).  So comparing
+    the values with ``beat`` picks the same members as without it.
     """
     params = np.asarray(params, dtype=float)
     stack = np.atleast_2d(params)
@@ -272,12 +279,12 @@ def objective(problem, params):
     arrival = problem.arrival_time
     if problem.window_max:
         probs = np.full(len(stack), -1.0)
-        for members, _, peaks, _ in dynamics.scan_peaks(freqs, coeffs, arrival):
+        for members, _, peaks, _ in dynamics.scan_peaks(freqs, coeffs, arrival, beat=beat):
             np.maximum.at(probs, members, peaks)
     else:
         probs = dynamics.amplitudes(freqs, coeffs, np.full(len(stack), arrival)) ** 2
-        if probs.max() > 1 + dynamics.PROB_SLACK:
-            raise ValidationError(f"probability above 1: max {probs.max()}")
+    if probs.max() > 1 + dynamics.PROB_SLACK:
+        raise ValidationError(f"probability above 1: max {probs.max()}")
     probs = np.minimum(probs, 1.0)
     return probs if params.ndim == 2 else float(probs[0])
 
@@ -351,7 +358,7 @@ def optimize(problem, budget, warm_start=None):
             mask = rng.random(dim) < CROSSOVER
             mask[rng.integers(dim)] = True
             trials[i] = np.where(mask, mutant, pop[i])
-        f_trial = objective(problem, trials)
+        f_trial = objective(problem, trials, beat=fitness)
         evaluations += pop_size
         better = f_trial >= fitness
         pop[better] = trials[better]

@@ -328,21 +328,23 @@ class TestPhasorSamples:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         t_max=st.floats(min_value=0.5, max_value=2e5),
         where=st.floats(min_value=0.0, max_value=1.0),
+        size=st.integers(min_value=1, max_value=dynamics.SCAN_CHUNK + 1),
     )
-    def test_match_direct_cosines_random_chain(self, n_cells, seed, t_max, where):
+    def test_match_direct_cosines_random_chain(self, n_cells, seed, t_max, where, size):
+        # up to a full segment of SCAN_CHUNK steps, where the outer tables are longest
         spec = random_non_mirror_chain(n_cells, seed)
         assume(not chains.is_mirror_symmetric(spec))
         series = dynamics.chain_series(spec)
         n = dynamics.scan_size(series.max_frequency, t_max)
         h = t_max / (n - 1)
-        size = min(n, 3000)
+        size = min(n, size)
         start = int(where * (n - size))  # a window anywhere on the grid
         (table,) = dynamics.phasor_amplitude(
             [series.frequencies], [series.coefficients], [h], [start], [size]
         )
         direct = series.amplitude(t_max * (np.arange(start, start + size) / (n - 1)))
-        assert table.shape == (-(-size // dynamics.PHASOR_BLOCK) * dynamics.PHASOR_BLOCK,)
-        table = table[:size]
+        assert table.shape == (dynamics.PHASOR_BLOCK, -(-size // dynamics.PHASOR_BLOCK))
+        table = table.T.reshape(-1)[:size]
         assert np.max(np.abs(table - direct)) <= 4 * rounding_unit(series, t_max)
 
 

@@ -93,6 +93,20 @@ class TestObjective:
         with pytest.raises(ValidationError):
             optimize.objective(small_problem(), [10.0])
 
+    @pytest.mark.parametrize("window_max", [False, True])
+    def test_probability_above_one_rejected(self, monkeypatch, window_max):
+        # P(5) = 0.9994 at g = 1.25; coefficients scaled by 1.5 push P past 2
+        p = small_problem(k=0, arrival_time=5.0, fixed_params={"w": 1.0}, window_max=window_max)
+        series = dynamics.jacobi_series
+
+        def inflated(jacobi):
+            freqs, coeffs = series(jacobi)
+            return freqs, 1.5 * coeffs
+
+        monkeypatch.setattr(dynamics, "jacobi_series", inflated)
+        with pytest.raises(ValidationError, match="probability above 1"):
+            optimize.objective(p, [1.25])
+
     def test_neg_log_infidelity_cap(self):
         assert optimize.neg_log_infidelity(1.0) == optimize.MAX_NEG_LOG
         assert optimize.neg_log_infidelity(0.9) == pytest.approx(1.0)
@@ -148,6 +162,29 @@ class TestStackedObjective:
             monkeypatch.setattr(dynamics, "SCAN_CHUNK", chunk)
             assert np.max(np.abs(optimize.objective(problem, pop) - whole)) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=st.sampled_from(list(optimize.Scenario)),
+        k=st.integers(min_value=0, max_value=4),
+        arrival_time=st.floats(min_value=0.5, max_value=80.0),
+        size=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_beat_keeps_every_value_that_reaches_it(self, scenario, k, arrival_time, size, seed):
+        problem = random_problem(scenario, k, arrival_time, True)
+        pop = random_population(problem, size, seed)
+        values = optimize.objective(problem, pop)
+        rng = np.random.default_rng(seed)
+        # beats anywhere in [0, 1], near the values on either side, and equal to them
+        beat = np.where(rng.random(size) < 0.5, rng.random(size),
+                        values * rng.uniform(0.9, 1.1, size))
+        tie = rng.random(size) < 0.2
+        beat[tie] = values[tie]
+        beaten = optimize.objective(problem, pop, beat=beat)
+        reach = values >= beat
+        assert np.all(np.abs(beaten - values)[reach] <= 1e-15)
+        assert np.all(beaten[~reach] < beat[~reach])
+
     def test_one_dimensional_vector_gives_a_float(self):
         p = small_problem()
         assert isinstance(optimize.objective(p, [1.1]), float)
@@ -190,9 +227,9 @@ class TestOptimize:
         shapes = []
         objective = optimize.objective
 
-        def recording(problem, params):
+        def recording(problem, params, beat=None):
             shapes.append(np.shape(params))
-            return objective(problem, params)
+            return objective(problem, params, beat)
 
         monkeypatch.setattr(optimize, "objective", recording)
         res = optimize.optimize(p, 400)
@@ -215,6 +252,22 @@ class TestOptimize:
         assert res.best_p == best_p
         assert res.evaluations == evaluations
         assert list(res.trajectory) == trajectory
+
+    @pytest.mark.parametrize("scenario, k, budget", [
+        (optimize.Scenario.FIXED_W_OPT_G, 2, 300),
+        (optimize.Scenario.ALPHA_OPT_TG, 3, 600),
+        (optimize.Scenario.FULL_K_PLUS_4, 1, 750),
+    ])
+    def test_beat_does_not_change_the_search(self, monkeypatch, scenario, k, budget):
+        problem = random_problem(scenario, k, 10.0 * (3 * k + 5), True)
+        res = optimize.optimize(problem, budget)
+        objective = optimize.objective
+        monkeypatch.setattr(optimize, "objective",
+                            lambda problem, params, beat=None: objective(problem, params))
+        ref = optimize.optimize(problem, budget)
+        assert res.best_params == ref.best_params
+        assert res.evaluations == ref.evaluations
+        assert np.max(np.abs(np.subtract(res.trajectory, ref.trajectory))) <= 1e-15
 
     def test_determinism(self):
         p = small_problem()
