@@ -15,7 +15,8 @@ Sites are ordered cell by cell, each pendant after its backbone qubit
 (:func:`cell_index`).  Any other order would only permute H: it changes no
 eigenvalue, and J does not depend on it.  :func:`mirror_site` is the one
 reflection map, and :func:`mirror_chain` the one constructor of a
-mirror-symmetric layout from its left half.
+mirror-symmetric layout from its left half; the symmetric JSON form
+(:func:`spec_from_dict`) parses straight into it.
 """
 
 from __future__ import annotations
@@ -72,36 +73,6 @@ class ChainSpec:
     def k(self):
         """Symmetric-chain parameter, N = 3k + 5."""
         return self.n_cells - 1
-
-
-@dataclass(frozen=True)
-class SymmetricChainSpec:
-    """Mirror-symmetric chain given by its independent couplings.
-
-    ``v`` holds the k+1 distinct backbone couplings of a chain with N = 3k+5
-    qubits; ``g`` holds the mirror-independent pendant couplings (k/2+1 values
-    for even k, (k+1)/2 for odd k).  For odd k the central pendant coupling is
-    not independent under this counting and reuses the innermost ``g`` entry;
-    chains with an independent central pendant coupling are expressed through a
-    full :class:`ChainSpec`.
-    """
-
-    k: int
-    v: tuple
-    g: tuple
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError(f"k must be >= 0, got {self.k}")
-        object.__setattr__(self, "v", tuple(float(x) for x in self.v))
-        object.__setattr__(self, "g", tuple(float(x) for x in self.g))
-        _check_couplings("v", self.v, self.k + 1)
-        n_g = self.k // 2 + 1 if self.k % 2 == 0 else (self.k + 1) // 2
-        _check_couplings("g", self.g, n_g)
-
-    @property
-    def n(self):
-        return 3 * self.k + 5
 
 
 @dataclass(frozen=True)
@@ -217,14 +188,6 @@ def mirror_chain(backbone, pendants):
     return ChainSpec(n_cells=n_cells, t=seq[0::2], w=seq[1::2], g=g)
 
 
-def expand_symmetric(spec):
-    """Expand a :class:`SymmetricChainSpec` into a full :class:`ChainSpec`.
-
-    For odd k the central pendant reuses the innermost independent value.
-    """
-    return mirror_chain(spec.v, spec.g + spec.g[-1:] if spec.k % 2 else spec.g)
-
-
 def homogeneous_chain(n, coupling=1.0):
     """Chain of length ``n`` (n = 2 mod 3, n >= 5) with all couplings equal."""
     if n < 5 or n % 3 != 2:
@@ -258,7 +221,10 @@ def spec_from_dict(data):
 
     Accepts the full form {"n_cells", "t", "w", "g"}, the symmetric form
     {"symmetric": {"k", "v", "g"}} and the homogeneous shorthand
-    {"homogeneous": {"N", "coupling"}}.  The full form may also carry
+    {"homogeneous": {"N", "coupling"}}.  The symmetric form is the
+    :func:`mirror_chain` of an N = 3k+5 chain: ``v`` holds its k+1 left
+    backbone couplings and ``g`` its first k//2+1 pendant couplings; for odd k
+    the middle pendant reuses the last ``g`` entry.  The full form may also carry
     ``"numbering": "cell"``, which older ``glue --out`` files hold; cell order
     is the only numbering.  Any other key, at either level, raises
     :class:`ValidationError` naming it.
@@ -278,10 +244,15 @@ def spec_from_dict(data):
         body = data["symmetric"]
         check_keys(body, {"k", "v", "g"}, "symmetric chain spec")
         try:
-            sym = SymmetricChainSpec(k=int(body["k"]), v=body["v"], g=body["g"])
+            k, v, g = int(body["k"]), body["v"], body["g"]
+            if k < 0:  # named before any v or g entry is converted
+                raise ValidationError(f"k must be >= 0, got {k}")
+            v, g = tuple(float(x) for x in v), tuple(float(x) for x in g)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad symmetric chain spec: {exc}") from exc
-        return expand_symmetric(sym)
+        _check_couplings("v", v, k + 1)
+        _check_couplings("g", g, k // 2 + 1)
+        return mirror_chain(v, g + g[-1:] if k % 2 else g)
     check_keys(data, {"n_cells", "t", "w", "g", "numbering"}, "chain spec")
     if data.get("numbering", "cell") != "cell":
         raise ValidationError(f"unknown numbering {data['numbering']!r}; only 'cell' exists")

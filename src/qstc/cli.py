@@ -172,38 +172,37 @@ def _cmd_optimize(args):
     budget = qopt.config_field(config, "budget", int, qopt.DEFAULT_BUDGET)
     seed = qopt.config_field(config, "seed", int)
 
-    outputs = []
     if "sweep" in config:
         results = qopt.sweep(
             problems, budget, warm_start=qopt.config_field(config, "warm_start", bool, True)
         )
-        rows = qopt.sweep_csv_rows(results)
         payload = {
             "sweep": [
                 (res.to_dict() if res is not None else {"error": err})
                 for res, err in results
             ]
         }
-        if args.out_csv:
-            with open(args.out_csv, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(rows) + "\n")
-            outputs.append(args.out_csv)
-        if args.out:
-            _write_json(payload, args.out)
-            outputs.append(args.out)
+    else:
+        result = qopt.optimize(problems[0], budget)
+        results = [(result, None)]
+        payload = result.to_dict()
+    rows = qopt.sweep_csv_rows(results)
+    outputs = []
+    if args.out_csv:
+        with open(args.out_csv, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows) + "\n")
+        outputs.append(args.out_csv)
+    if args.out:
+        _write_json(payload, args.out)
+        outputs.append(args.out)
+    if "sweep" in config:
         ok = sum(1 for res, _ in results if res is not None)
         print(f"sweep: {ok}/{len(results)} problems solved")
         for row in rows[1:]:
             print(" ", row)
-        return dict(payload, seed=seed), outputs
-
-    result = qopt.optimize(problems[0], budget)
-    payload = result.to_dict()
-    if args.out:
-        _write_json(payload, args.out)
-        outputs.append(args.out)
-    print(f"best P = {result.best_p:.12g}  (-log10 infidelity {result.neg_log_infidelity:.3g}, "
-          f"{result.evaluations} evaluations)")
+    else:
+        print(f"best P = {result.best_p:.12g}  (-log10 infidelity {result.neg_log_infidelity:.3g}, "
+              f"{result.evaluations} evaluations)")
     return dict(payload, seed=seed), outputs
 
 

@@ -5,9 +5,8 @@ with spectrum {+-k, +-(k+1), +-(k+2), 0, 0} and an N=11 chain with spectrum
 {+-k, ..., +-(k+3), 0, 0, 0}.  Integer spectra make every frequency commensurate
 so the corner-to-corner probability is exactly 1 at odd multiples of pi.
 
-The dimerized section covers uniform (t_i=1, w_i=w, g_i=g) N=11 chains: the
-exact five-frequency probability and the g-independent envelope
-P_up = (w(1+w^2)/(1+w^4))^2 that caps the achievable transfer.
+For uniform dimerized (t_i=1, w_i=w, g_i=g) N=11 chains the g-independent
+envelope P_up = (w(1+w^2)/(1+w^4))^2 caps the achievable transfer.
 
 Pretty-good-transfer search runs the peak search of :func:`dynamics.scan_peaks`
 forward for the earliest peak whose infidelity drops below a target.
@@ -160,28 +159,6 @@ def design_pst(family, k, v1):
     raise ValidationError(f"unknown PST family {family!r}; expected one of {FAMILIES}")
 
 
-def probability_closed_form_pst(family, k):
-    """Corner-to-corner cosine series of a PST design, independent of v1."""
-    if k < 1:
-        raise ValidationError(f"spectrum offset k must be >= 1, got {k}")
-    if family == "n8":
-        norm = 8.0 * (k + 1)
-        freqs = (k, k + 1, k + 2)
-        coeffs = ((2 * k + 3) / norm, -4 * (k + 1) / norm, (2 * k + 1) / norm)
-    elif family == "n11":
-        norm = 16.0 * (k + 1) * (k + 2)
-        freqs = (k, k + 1, k + 2, k + 3)
-        coeffs = (
-            (10 + 9 * k + 2 * k * k) / norm,
-            -3 * (5 + 7 * k + 2 * k * k) / norm,
-            3 * (1 + 2 * k) * (2 + k) / norm,
-            -(1 + 2 * k) * (1 + k) / norm,
-        )
-    else:
-        raise ValidationError(f"unknown PST family {family!r}")
-    return dynamics.CosineSeries(tuple(float(f) for f in freqs), coeffs)
-
-
 # ---------------------------------------------------------------------------
 # dimerized chains
 # ---------------------------------------------------------------------------
@@ -192,39 +169,6 @@ def dimerized_upper_bound(w):
     if not 0 < w < math.inf:
         raise ValidationError(f"dimerization parameter w must be positive and finite, got {w}")
     return (w * (1 + w * w) / (1 + w**4)) ** 2
-
-
-def dimerized_chain(w, g):
-    """Uniform dimerized N=11 chain: t_i = 1, w_i = w, g_i = g."""
-    if w <= 0 or g <= 0:
-        raise ValidationError("couplings w and g must be positive")
-    return chains.ChainSpec(n_cells=3, t=(1.0, 1.0, 1.0), w=(w, w, w), g=(g, g, g, g))
-
-
-def dimerized_series(w, g):
-    """Exact five-frequency cosine series of the dimerized N=11 chain."""
-    if w <= 0 or g <= 0:
-        raise ValidationError("couplings w and g must be positive")
-    r2 = math.sqrt(2.0)
-    base = g * g + w * w + 1
-    pref = w / (4 * (w * w + 1) * (w**4 + 1))
-    freqs = [
-        math.sqrt(base - r2 * w),
-        math.sqrt(base + r2 * w),
-        math.sqrt(base),
-        g,
-    ]
-    coeffs = [
-        pref * (w * w + 1) * (w * w + r2 * w + 1),
-        pref * (w * w + 1) * (w * w - r2 * w + 1),
-        pref * (-2) * (w**4 + 1),
-        pref * (-4) * w * w,
-    ]
-    # for w, g > 0 the four frequencies are pairwise distinct
-    order = np.argsort(freqs)
-    return dynamics.CosineSeries(
-        tuple(freqs[i] for i in order), tuple(coeffs[i] for i in order)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -124,27 +124,10 @@ class CosineSeries:
         if any(f < 0 for f in self.frequencies):
             raise ValidationError("frequencies must be non-negative")
 
-    @property
-    def coefficient_sum(self):
-        return float(sum(self.coefficients))
-
-    @property
-    def amplitude_ceiling(self):
-        """sum |c_j|, the supremum of |amplitude| over all times."""
-        return float(sum(abs(c) for c in self.coefficients))
-
-    @property
-    def max_frequency(self):
-        return float(max(self.frequencies)) if self.frequencies else 0.0
-
     def amplitude(self, times):
-        """a(t) at each time; ``einsum`` sums each time in one fixed order, so a
-        value has the same bits whatever the call shape (BLAS dot and gemv
-        round differently)."""
+        """a(t) at each time, by :func:`amplitudes`."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.einsum(
-            "ij,j->i", np.cos(np.outer(times, self.frequencies)), np.asarray(self.coefficients)
-        )
+        return amplitudes(self.frequencies, self.coefficients, times)
 
     def probability(self, times):
         return self.amplitude(times) ** 2
@@ -163,12 +146,6 @@ class CosineSeries:
             fidelity=tuple(float(f) for f in fid),
             peak=(float(times[best]), float(prob[best])),
         )
-
-    def to_dict(self):
-        return {
-            "frequencies": list(self.frequencies),
-            "coefficients": list(self.coefficients),
-        }
 
 
 def jacobi_series(jacobi):
@@ -196,20 +173,22 @@ def chain_series(spec):
 
 
 def amplitudes(frequencies, coefficients, times):
-    """a_k(t_k) = sum_j c_kj cos(f_kj t_k), row by row, for (m, n_freq) stacks.
+    """a_k(t_k) = sum_j c_kj cos(f_kj t_k) at each of the m times ``times``.
 
-    Each row is summed by ``einsum`` in one fixed order, as in
-    :meth:`CosineSeries.amplitude`, so a value has the same bits in any stack.
+    ``frequencies`` and ``coefficients`` are (m, n_freq) stacks, row k for
+    time k, or one series' (n_freq,) values for every time.  Each sum is taken
+    by ``einsum`` in one fixed order, so a value has the same bits whatever the
+    call shape (BLAS dot and gemv round differently).
     """
-    return np.einsum("kj,kj->k", np.cos(times[:, None] * frequencies), coefficients)
+    return np.einsum("...j,...j->...", np.cos(times[:, None] * frequencies), coefficients)
 
 
-def scan_size(max_frequency, t_max):
+def scan_size(f_max, t_max):
     """Samples over [0, t_max]: step <= pi/(8 f_max) (4x Nyquist), at least 65.
 
     Elementwise over an array of maximum frequencies.
     """
-    return np.maximum(np.ceil(t_max * 8 * np.asarray(max_frequency) / np.pi).astype(int) + 1, 65)
+    return np.maximum(np.ceil(t_max * 8 * np.asarray(f_max) / np.pi).astype(int) + 1, 65)
 
 
 def _phasor(angle):

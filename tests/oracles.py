@@ -1,14 +1,23 @@
-"""Independent oracles for :mod:`qstc.exact`, used only by the tests.
+"""Independent oracles for :mod:`qstc.exact` and :mod:`qstc.design`, used only by the tests.
 
 ``char_poly_exact`` computes det(xI - H) of any integer matrix by the
 Faddeev-LeVerrier recursion, without the chain structure that
 ``exact.reduced_charpoly_homogeneous`` relies on; ``reduce_even`` checks and
 strips the x^(k+1) q(x^2) form so the two can be compared.  Polynomials are
 coefficient lists, lowest degree first.
+
+``dimerized_series`` and ``probability_closed_form_pst`` are the paper's
+closed-form corner-to-corner cosine series: that of the uniform dimerized
+N=11 chain (``dimerized_chain``) and the v1-independent ones of the N=8 and
+N=11 PST designs.  The Jacobi eigen-core
+(``dynamics.chain_series``) is compared against them.
 """
+
+import math
 
 import numpy as np
 
+from qstc import chains, dynamics
 from qstc.errors import NumericalError, StructuralError, UnsupportedInputError, ValidationError
 from qstc.exact import poly_trim
 
@@ -75,3 +84,58 @@ def reduce_even(p, k):
     if q[-1] < 0:
         q = [-c for c in q]
     return poly_trim(q)
+
+
+def probability_closed_form_pst(family, k):
+    """Corner-to-corner cosine series of a PST design, independent of v1."""
+    if k < 1:
+        raise ValidationError(f"spectrum offset k must be >= 1, got {k}")
+    if family == "n8":
+        norm = 8.0 * (k + 1)
+        freqs = (k, k + 1, k + 2)
+        coeffs = ((2 * k + 3) / norm, -4 * (k + 1) / norm, (2 * k + 1) / norm)
+    elif family == "n11":
+        norm = 16.0 * (k + 1) * (k + 2)
+        freqs = (k, k + 1, k + 2, k + 3)
+        coeffs = (
+            (10 + 9 * k + 2 * k * k) / norm,
+            -3 * (5 + 7 * k + 2 * k * k) / norm,
+            3 * (1 + 2 * k) * (2 + k) / norm,
+            -(1 + 2 * k) * (1 + k) / norm,
+        )
+    else:
+        raise ValidationError(f"unknown PST family {family!r}")
+    return dynamics.CosineSeries(tuple(float(f) for f in freqs), coeffs)
+
+
+def dimerized_chain(w, g):
+    """Uniform dimerized N=11 chain: t_i = 1, w_i = w, g_i = g."""
+    if w <= 0 or g <= 0:
+        raise ValidationError("couplings w and g must be positive")
+    return chains.ChainSpec(n_cells=3, t=(1.0, 1.0, 1.0), w=(w, w, w), g=(g, g, g, g))
+
+
+def dimerized_series(w, g):
+    """Exact five-frequency cosine series of the dimerized N=11 chain."""
+    if w <= 0 or g <= 0:
+        raise ValidationError("couplings w and g must be positive")
+    r2 = math.sqrt(2.0)
+    base = g * g + w * w + 1
+    pref = w / (4 * (w * w + 1) * (w**4 + 1))
+    freqs = [
+        math.sqrt(base - r2 * w),
+        math.sqrt(base + r2 * w),
+        math.sqrt(base),
+        g,
+    ]
+    coeffs = [
+        pref * (w * w + 1) * (w * w + r2 * w + 1),
+        pref * (w * w + 1) * (w * w - r2 * w + 1),
+        pref * (-2) * (w**4 + 1),
+        pref * (-4) * w * w,
+    ]
+    # for w, g > 0 the four frequencies are pairwise distinct
+    order = np.argsort(freqs)
+    return dynamics.CosineSeries(
+        tuple(freqs[i] for i in order), tuple(coeffs[i] for i in order)
+    )

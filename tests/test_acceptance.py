@@ -87,10 +87,9 @@ def table1_full_spectrum(n):
 
 
 def random_symmetric_chain(rng, k):
-    v = rng.uniform(0.1, 3.0, k + 1)
-    n_g = k // 2 + 1 if k % 2 == 0 else (k + 1) // 2
-    g = rng.uniform(0.1, 3.0, n_g)
-    return chains.expand_symmetric(chains.SymmetricChainSpec(k=k, v=v, g=g))
+    v = rng.uniform(0.1, 3.0, k + 1).tolist()
+    g = rng.uniform(0.1, 3.0, k // 2 + 1).tolist()
+    return chains.mirror_chain(v, g + g[-1:] if k % 2 else g)
 
 
 class TestAcceptance:

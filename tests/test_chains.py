@@ -109,19 +109,26 @@ class TestSymmetry:
         spec = chains.ChainSpec(n_cells=2, t=(1.0, 2.0), w=(1.0, 1.0), g=(1.0,) * 3)
         assert not chains.is_mirror_symmetric(spec)
 
-    def test_expand_symmetric_even_k(self):
-        sym = chains.SymmetricChainSpec(k=2, v=(1.0, 2.0, 3.0), g=(0.5, 0.7))
-        spec = chains.expand_symmetric(sym)
-        assert spec.n == sym.n == 11
-        assert chains.is_mirror_symmetric(spec)
-        assert chains.backbone_sequence(spec) == (1.0, 2.0, 3.0, 3.0, 2.0, 1.0)
-
-    def test_expand_symmetric_odd_k(self):
-        sym = chains.SymmetricChainSpec(k=1, v=(1.0, 2.0), g=(0.5,))
-        spec = chains.expand_symmetric(sym)
-        assert spec.n == 8
-        assert chains.is_mirror_symmetric(spec)
-        assert spec.g == (0.5, 0.5, 0.5)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_symmetric_form_is_mirror_chain(self, k, seed):
+        # v: the k+1 left backbone couplings; g: the first k//2+1 pendant
+        # couplings, the last one repeated in the middle for odd k
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.05, 4.0, k + 1).tolist()
+        g = rng.uniform(0.05, 4.0, k // 2 + 1).tolist()
+        spec = chains.spec_from_dict({"symmetric": {"k": k, "v": v, "g": g}})
+        assert spec == chains.mirror_chain(v, g + g[-1:] if k % 2 else g)
+        assert spec.n == 3 * k + 5
+        assert chains.backbone_sequence(spec)[: k + 1] == tuple(v)
+        assert spec.g[: len(g)] == tuple(g)
+        for bad in ({"v": v + [1.0]}, {"v": v[:-1]}, {"g": g + [1.0]}, {"g": g[:-1]},
+                    {"k": -1 - k}):
+            with pytest.raises(ValidationError):
+                chains.spec_from_dict({"symmetric": {"k": k, "v": v, "g": g, **bad}})
 
 
 class TestMirrorChain:

@@ -271,6 +271,20 @@ class TestOptimizeCommand:
         assert run(["optimize", "--config", cfg, "--out-csv", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_single_run_csv_matches_one_point_sweep(self, workdir):
+        base = {"scenario": "fixed_w_opt_g", "k": 2, "seed": 9, "budget": 300,
+                "fixed_params": {"w": 0.8}}
+        csvs = []
+        for name, extra in (("single", {"T": 50.0}), ("sweep", {"sweep": {"T": [50.0]}})):
+            cfg, csv = workdir / f"{name}.json", workdir / f"{name}.csv"
+            cfg.write_text(json.dumps({**base, **extra}))
+            assert run(["optimize", "--config", str(cfg), "--out-csv", str(csv)]) == 0
+            manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+            assert manifest["outputs"] == [str(csv)]
+            csvs.append(csv.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].decode().splitlines()[1].startswith("fixed_w_opt_g,2,11,50,0.8,")
+
     def test_missing_time_rejected(self, workdir):
         cfg = workdir / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "fixed_w_opt_g", "k": 2, "seed": 1,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dimerized_chain, dimerized_series, probability_closed_form_pst
 from qstc import chains, design, dynamics
 from qstc.errors import InfeasibleDesignError, ValidationError
 
@@ -67,7 +68,7 @@ class TestPstN8:
 
     def test_closed_form_independent_of_v1(self):
         k = 2
-        series = design.probability_closed_form_pst("n8", k)
+        series = probability_closed_form_pst("n8", k)
         times = np.linspace(0.0, 10.0, 200)
         for frac in (0.2, 0.5, 0.8):
             d = design.design_pst_n8(k, feasible_v1("n8", k, frac))
@@ -104,7 +105,7 @@ class TestPstN11:
         assert err.value.interval == (lo, hi)
 
     def test_closed_form_matches_numerics(self):
-        series = design.probability_closed_form_pst("n11", 1)
+        series = probability_closed_form_pst("n11", 1)
         times = np.linspace(0.0, 10.0, 200)
         d = design.design_pst_n11(1, 2.0)
         trace = dynamics.transfer_probability(d.chain(), times)
@@ -146,21 +147,21 @@ class TestDimerized:
     def test_series_matches_numerics(self):
         w, g = 0.7, 1.3
         times = np.linspace(0.0, 200.0, 2000)
-        series = design.dimerized_series(w, g)
-        trace = dynamics.transfer_probability(design.dimerized_chain(w, g), times)
+        series = dimerized_series(w, g)
+        trace = dynamics.transfer_probability(dimerized_chain(w, g), times)
         assert np.max(np.abs(series.probability(times) - trace.probability)) < 1e-12
 
     def test_amplitude_ceiling_equals_bound(self):
         # the coefficient absolute sum squares to the g-independent envelope
         for w in (0.3, 0.6, 0.9):
-            series = design.dimerized_series(w, 1.1)
-            assert series.amplitude_ceiling**2 == pytest.approx(
+            series = dimerized_series(w, 1.1)
+            assert sum(abs(c) for c in series.coefficients) ** 2 == pytest.approx(
                 design.dimerized_upper_bound(w), abs=1e-12
             )
 
     def test_coefficient_sum_zero(self):
-        series = design.dimerized_series(0.5, 0.9)
-        assert abs(series.coefficient_sum) < 1e-12
+        series = dimerized_series(0.5, 0.9)
+        assert abs(sum(series.coefficients)) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -171,19 +172,19 @@ class TestDimerized:
     def test_probability_never_exceeds_bound(self, w, g, seed):
         rng = np.random.default_rng(seed)
         times = rng.uniform(0.0, 500.0, 200)
-        prob = design.dimerized_series(w, g).trace(times).probability
+        prob = dimerized_series(w, g).trace(times).probability
         assert max(prob) <= design.dimerized_upper_bound(w) + 1e-9
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):
             design.dimerized_upper_bound(0.0)
         with pytest.raises(ValidationError):
-            design.dimerized_chain(1.0, -1.0)
+            dimerized_chain(1.0, -1.0)
 
 
 class TestPgtSearch:
     def test_finds_pst_arrival(self):
-        series = design.probability_closed_form_pst("n8", 1)
+        series = probability_closed_form_pst("n8", 1)
         result = design.pgt_search(series, 1e-6, 10.0)
         assert result.reached
         assert abs(result.t_found - math.pi) < 1e-6
@@ -213,7 +214,7 @@ class TestPgtSearch:
         assert chunked.best_infidelity == pytest.approx(whole.best_infidelity, abs=1e-15)
 
     def test_best_seen_without_hit(self):
-        series = dynamics.chain_series(design.dimerized_chain(0.8, 2.0))
+        series = dynamics.chain_series(dimerized_chain(0.8, 2.0))
         result = design.pgt_search(series, 1e-3, 110.0)
         assert not result.reached
         assert result.best_infidelity == pytest.approx(
@@ -225,17 +226,17 @@ class TestPgtSearch:
         result = design.pgt_search(series, 0.5, 10.0)
         assert not result.reached
         assert result.best_infidelity == 0.75
-        assert result.scan_budget >= dynamics.scan_size(series.max_frequency, 10.0)
+        assert result.scan_budget >= dynamics.scan_size(max(series.frequencies), 10.0)
 
     def test_input_validation(self):
-        series = design.probability_closed_form_pst("n8", 1)
+        series = probability_closed_form_pst("n8", 1)
         with pytest.raises(ValidationError):
             design.pgt_search(series, 0.0, 10.0)
         with pytest.raises(ValidationError):
             design.pgt_search(series, 0.5, -1.0)
 
     def test_to_dict(self):
-        series = design.probability_closed_form_pst("n8", 1)
+        series = probability_closed_form_pst("n8", 1)
         payload = design.pgt_search(series, 1e-6, 10.0).to_dict()
         assert payload["reached"] is True
         assert payload["epsilon"] == 1e-6
