@@ -12,8 +12,8 @@ side; :func:`jacobi_matrix` is H^2 restricted to them, the tridiagonal matrix
 that carries corner-to-corner transfer.
 
 Sites are ordered cell by cell, each pendant after its backbone qubit
-(:func:`cell_index`).  Any other order would only permute H: it changes no
-eigenvalue, and J does not depend on it.  :func:`mirror_site` is the one
+(:func:`build_hamiltonian`).  Any other order would only permute H: it changes
+no eigenvalue, and J does not depend on it.  :func:`mirror_sites` is the one
 reflection map, and :func:`mirror_chain` the one constructor of a
 mirror-symmetric layout from its left half; the symmetric JSON form
 (:func:`spec_from_dict`) parses straight into it.
@@ -86,61 +86,34 @@ class HamiltonianMatrix:
 
 
 # ---------------------------------------------------------------------------
-# site bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def edges(spec):
-    """Weighted edge list [(site, site, coupling)] of the chain graph.
-
-    A site is (qubit type, 1-based cell index), e.g. ("A1", 1) for the left
-    corner.
-    """
-    out = []
-    for i in range(1, spec.n_cells + 2):
-        out.append((("A1", i), ("A2", i), spec.g[i - 1]))
-    for i in range(1, spec.n_cells + 1):
-        out.append((("A1", i), ("B", i), spec.t[i - 1]))
-        out.append((("B", i), ("A1", i + 1), spec.w[i - 1]))
-    return out
-
-
-def cell_index(site, n_cells):
-    """0-based index of a site in cell order."""
-    kind, i = site
-    base = 3 * (i - 1)
-    if kind == "A1":
-        return base
-    if kind == "A2":
-        return base + 1
-    if kind == "B":
-        if i > n_cells:
-            raise ValidationError(f"no B qubit in cell {i}")
-        return base + 2
-    raise ValidationError(f"unknown site type {kind!r}")
-
-
-def mirror_site(site, n_cells):
-    """Image of a site under the spatial reflection of the chain."""
-    kind, i = site
-    if kind == "B":
-        return ("B", n_cells + 1 - i)
-    return (kind, n_cells + 2 - i)
-
-
-# ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
 
 def build_hamiltonian(spec):
-    """One-excitation Hamiltonian of a chain in cell order."""
+    """One-excitation Hamiltonian of a chain in cell order.
+
+    Cell i (from 0) holds A1 at site 3i, its pendant A2 at 3i+1 and B at 3i+2;
+    the last cell has no B, so the corners are sites 0 and N-2.
+    """
+    a1 = 3 * np.arange(spec.n_cells + 1)
     h = np.zeros((spec.n, spec.n))
-    for a, b, c in edges(spec):
-        ia, ib = cell_index(a, spec.n_cells), cell_index(b, spec.n_cells)
-        h[ia, ib] = h[ib, ia] = c
+    h[a1, a1 + 1] = spec.g
+    h[a1[:-1], a1[:-1] + 2] = spec.t
+    h[a1[:-1] + 2, a1[1:]] = spec.w
+    h += h.T
     h.flags.writeable = False  # toarray() hands out this array itself
     return HamiltonianMatrix(matrix=h)
+
+
+def mirror_sites(n_cells):
+    """Image of every site under the spatial reflection of the chain.
+
+    A1 and A2 of cell i go to those of cell n_cells - i, B of cell i to B of
+    cell n_cells - 1 - i.
+    """
+    s = np.arange(3 * n_cells + 2)
+    return 3 * n_cells - s + np.array([0, 2, 1])[s % 3]
 
 
 def jacobi_matrix(spec):

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import chains, dynamics
-from .errors import ValidationError, check_keys
+from .errors import NumericalError, QstcError, ValidationError, check_keys
 
 DEFAULT_BOUNDS = (0.05, 4.0)
 DEFAULT_BUDGET = 20000
@@ -253,7 +253,7 @@ def objective(problem, params, beat=None):
     :func:`dynamics.scan_peaks` call.  A vector gives a float, a stack an
     array; a stacked value has the same bits as the vector's for fixed T, and
     agrees with it to roundoff for window maxima.  A P above 1 + PROB_SLACK
-    is an error on both paths.
+    can only come from a broken series: :class:`NumericalError` on both paths.
 
     ``beat`` (a number or one per member, window maxima only) lets the scan
     skip what cannot decide ``value >= beat``: a member whose window maximum
@@ -284,7 +284,7 @@ def objective(problem, params, beat=None):
     else:
         probs = dynamics.amplitudes(freqs, coeffs, np.full(len(stack), arrival)) ** 2
     if probs.max() > 1 + dynamics.PROB_SLACK:
-        raise ValidationError(f"probability above 1: max {probs.max()}")
+        raise NumericalError(f"probability above 1: max {probs.max()}")
     probs = np.minimum(probs, 1.0)
     return probs if params.ndim == 2 else float(probs[0])
 
@@ -387,8 +387,8 @@ def sweep(problems, budget, warm_start=True):
     Problems sharing scenario, k and fixed parameters form a group; within a
     group (processed in list order) each run seeds the next one's population
     with the best point found so far, which keeps the reported probability
-    essentially monotone in arrival time.  Failures are recorded per problem
-    and do not abort the sweep.
+    essentially monotone in arrival time.  A :class:`QstcError` is recorded
+    per problem without aborting the sweep; any other exception propagates.
 
     Returns
     -------
@@ -402,7 +402,7 @@ def sweep(problems, budget, warm_start=True):
         key = _group_key(problem)
         try:
             res = optimize(problem, budget, warm_start=carries.get(key) if warm_start else None)
-        except Exception as exc:  # error isolation across entries
+        except QstcError as exc:  # error isolation across entries
             results.append((None, f"{type(exc).__name__}: {exc}"))
             continue
         carries[key] = np.asarray(res.best_params)

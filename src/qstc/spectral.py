@@ -8,7 +8,7 @@ The structural facts used throughout:
   produces a chain of length 2N+1 whose spectrum contains the parent's, the
   N+1 new eigenvalues being those of an (N+1)x(N+1) bordered block.  The
   child is built by :func:`chains.mirror_chain` and block-diagonalized in
-  cell order, the copies matched by :func:`chains.mirror_site`.
+  cell order, the copies matched by :func:`chains.mirror_sites`.
 
 The squared nonzero eigenvalues are the eigenvalues of the (k+2)x(k+2)
 Jacobi matrix :func:`chains.jacobi_matrix`.  The nested-radical spectra of the
@@ -121,10 +121,7 @@ def glue(parent, bridge_v):
     block_a[n, n - 2] = block_a[n - 2, n] = np.sqrt(2.0) * bridge_v
 
     # parent site i is child site i in the left copy and image[i] in the right one
-    image = np.empty(n, dtype=int)
-    for site in {s for a, b, _ in chains.edges(parent) for s in (a, b)}:
-        mirrored = chains.mirror_site(site, child.n_cells)
-        image[chains.cell_index(site, parent.n_cells)] = chains.cell_index(mirrored, child.n_cells)
+    image = chains.mirror_sites(child.n_cells)[:n]
     sites = np.arange(n)
     transform = np.zeros((child.n, child.n))
     transform[sites, sites] = transform[image, sites] = 1 / np.sqrt(2.0)

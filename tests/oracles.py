@@ -1,4 +1,4 @@
-"""Independent oracles for :mod:`qstc.exact` and :mod:`qstc.design`, used only by the tests.
+"""Independent test oracles for :mod:`qstc.exact`, :mod:`qstc.design` and :mod:`qstc.chains`.
 
 ``char_poly_exact`` computes det(xI - H) of any integer matrix by the
 Faddeev-LeVerrier recursion, without the chain structure that
@@ -11,6 +11,9 @@ closed-form corner-to-corner cosine series: that of the uniform dimerized
 N=11 chain (``dimerized_chain``) and the v1-independent ones of the N=8 and
 N=11 PST designs.  The Jacobi eigen-core
 (``dynamics.chain_series``) is compared against them.
+
+``hamiltonian_from_edges`` builds H from the labelled edge list of the chain,
+the reference for the index-array assembly of ``chains.build_hamiltonian``.
 """
 
 import math
@@ -84,6 +87,26 @@ def reduce_even(p, k):
     if q[-1] < 0:
         q = [-c for c in q]
     return poly_trim(q)
+
+
+def hamiltonian_from_edges(spec):
+    """One-excitation H of a chain, built from its labelled edge list.
+
+    A site is (qubit type, 1-based cell), e.g. ("A1", 1) for the left corner;
+    cell order puts A1, A2, B of each cell in turn, the last cell without B.
+    """
+    index = {}
+    for i in range(1, spec.n_cells + 2):
+        for kind in ("A1", "A2", "B")[: 3 if i <= spec.n_cells else 2]:
+            index[kind, i] = len(index)
+    edges = [(("A1", i), ("A2", i), spec.g[i - 1]) for i in range(1, spec.n_cells + 2)]
+    for i in range(1, spec.n_cells + 1):
+        edges.append((("A1", i), ("B", i), spec.t[i - 1]))
+        edges.append((("B", i), ("A1", i + 1), spec.w[i - 1]))
+    h = np.zeros((spec.n, spec.n))
+    for a, b, c in edges:
+        h[index[a], index[b]] = h[index[b], index[a]] = c
+    return h
 
 
 def probability_closed_form_pst(family, k):

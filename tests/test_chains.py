@@ -8,19 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hamiltonian_from_edges
 from qstc import chains
 from qstc.errors import ValidationError
-
-
-def sites(spec):
-    """All sites of a chain, as (qubit type, 1-based cell index)."""
-    out = []
-    for i in range(1, spec.n_cells + 2):
-        out.append(("A1", i))
-        out.append(("A2", i))
-        if i <= spec.n_cells:
-            out.append(("B", i))
-    return out
 
 
 def random_chain(rng, n_cells, lo=0.1, hi=3.0):
@@ -59,33 +49,15 @@ class TestChainSpec:
                 chains.homogeneous_chain(bad)
 
 
-class TestSites:
-    def test_site_count(self):
-        spec = chains.homogeneous_chain(11)
-        assert len(sites(spec)) == spec.n
-
-    def test_edge_count(self):
-        # N-1 edges for a tree on N vertices plus nothing else
-        spec = chains.homogeneous_chain(14)
-        assert len(chains.edges(spec)) == spec.n - 1
-
-    def test_cell_index_bijection(self):
-        spec = chains.homogeneous_chain(17)
-        idx = sorted(chains.cell_index(s, spec.n_cells) for s in sites(spec))
-        assert idx == list(range(spec.n))
-
-    def test_mirror_involution(self):
-        spec = chains.homogeneous_chain(23)
-        for s in sites(spec):
-            assert chains.mirror_site(chains.mirror_site(s, spec.n_cells), spec.n_cells) == s
-
-    def test_corner_sites_are_backbone_ends(self):
-        # the corners A1_1 and A1_{n_cells+1} are the first and the next-to-last
-        # site in cell order (the last is the pendant of the right corner)
-        spec = chains.homogeneous_chain(11)
-        assert chains.cell_index(("A1", 1), spec.n_cells) == 0
-        assert chains.cell_index(("A1", spec.n_cells + 1), spec.n_cells) == spec.n - 2
-        assert chains.mirror_site(("A1", 1), spec.n_cells) == ("A1", spec.n_cells + 1)
+class TestMirrorSites:
+    def test_permutation_and_involution(self):
+        for n_cells in range(1, 14):
+            image = chains.mirror_sites(n_cells)
+            n = 3 * n_cells + 2
+            assert sorted(image) == list(range(n))
+            assert np.array_equal(image[image], np.arange(n))
+            # the corners, A1 of the first and of the last cell, swap
+            assert image[0] == n - 2 and image[n - 2] == 0
 
 
 class TestHamiltonian:
@@ -99,6 +71,21 @@ class TestHamiltonian:
     def test_row_degree_bound(self):
         h = chains.build_hamiltonian(chains.homogeneous_chain(17)).toarray()
         assert int(np.max(np.count_nonzero(h, axis=1))) <= 3
+
+    def test_tree(self):
+        # N-1 edges for a tree on N vertices plus nothing else
+        spec = chains.homogeneous_chain(14)
+        assert np.count_nonzero(chains.build_hamiltonian(spec).toarray()) == 2 * (spec.n - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nc=st.integers(min_value=1, max_value=13),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_edge_list(self, nc, seed):
+        spec = random_chain(np.random.default_rng(seed), nc)
+        h = chains.build_hamiltonian(spec).toarray()
+        assert h.tobytes() == hamiltonian_from_edges(spec).tobytes()
 
 
 class TestSymmetry:
@@ -147,10 +134,9 @@ class TestMirrorChain:
         assert spec.g[: len(pendants)] == pendants
         assert chains.is_mirror_symmetric(spec)
         # H is invariant under the site reflection itself
-        image = [chains.cell_index(chains.mirror_site(s, n_cells), n_cells) for s in sites(spec)]
-        order = [chains.cell_index(s, n_cells) for s in sites(spec)]
+        image = chains.mirror_sites(n_cells)
         h = chains.build_hamiltonian(spec).toarray()
-        assert np.array_equal(h[np.ix_(order, order)], h[np.ix_(image, image)])
+        assert np.array_equal(h, h[np.ix_(image, image)])
 
     def test_wrong_pendant_count_rejected(self):
         with pytest.raises(ValidationError):

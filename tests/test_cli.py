@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qstc import chains, cli, design, spectral
+from qstc import chains, cli, design, dynamics, spectral
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -284,6 +284,20 @@ class TestOptimizeCommand:
             csvs.append(csv.read_bytes())
         assert csvs[0] == csvs[1]
         assert csvs[0].decode().splitlines()[1].startswith("fixed_w_opt_g,2,11,50,0.8,")
+
+    def test_probability_above_one_is_numerical(self, workdir, monkeypatch):
+        # the parameters are in bounds, so P > 1 is a numerical fault (exit 3)
+        series = dynamics.jacobi_series
+
+        def inflated(jacobi):
+            freqs, coeffs = series(jacobi)
+            return freqs, 1.5 * coeffs
+
+        monkeypatch.setattr(dynamics, "jacobi_series", inflated)
+        cfg = self.config(workdir / "cfg.json", k=0, T=5.0, fixed_params={"w": 1.0})
+        assert run(["optimize", "--config", cfg]) == 3
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("NumericalError")
 
     def test_missing_time_rejected(self, workdir):
         cfg = workdir / "cfg.json"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstc import chains, design, dynamics, optimize
-from qstc.errors import ValidationError
+from qstc.errors import NumericalError, ValidationError
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -95,7 +95,8 @@ class TestObjective:
 
     @pytest.mark.parametrize("window_max", [False, True])
     def test_probability_above_one_rejected(self, monkeypatch, window_max):
-        # P(5) = 0.9994 at g = 1.25; coefficients scaled by 1.5 push P past 2
+        # P(5) = 0.9994 at g = 1.25; coefficients scaled by 1.5 push P past 2.
+        # The parameter is in bounds, so only the series can be at fault.
         p = small_problem(k=0, arrival_time=5.0, fixed_params={"w": 1.0}, window_max=window_max)
         series = dynamics.jacobi_series
 
@@ -104,7 +105,7 @@ class TestObjective:
             return freqs, 1.5 * coeffs
 
         monkeypatch.setattr(dynamics, "jacobi_series", inflated)
-        with pytest.raises(ValidationError, match="probability above 1"):
+        with pytest.raises(NumericalError, match="probability above 1"):
             optimize.objective(p, [1.25])
 
     def test_neg_log_infidelity_cap(self):
@@ -315,6 +316,15 @@ class TestSweep:
         assert all(res is None and err is not None for res, err in results)
         results = optimize.sweep([good], 300)
         assert results[0][1] is None
+
+    def test_internal_error_propagates(self, monkeypatch):
+        # only qstc's typed errors are isolated per problem; a bug is not
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(optimize, "objective", broken)
+        with pytest.raises(KeyError):
+            optimize.sweep([small_problem()], 300)
 
     def test_warm_start_monotone_in_time(self):
         problems = [
