@@ -50,6 +50,8 @@ NEWTON_STEPS = 8
 #: width B of the inner phasor table that samples a scan chunk (about the
 #: square root of a typical scan's sample count)
 PHASOR_BLOCK = 32
+#: rows of a trace written by one format string in :meth:`TransferTrace.to_csv`
+CSV_BLOCK = 4096
 
 
 def fidelity_from_probability(p):
@@ -64,23 +66,29 @@ class TransferTrace:
 
     Attributes
     ----------
-    times, probability, fidelity : tuple of float
+    times, probability, fidelity : read-only float ndarray
         Sample grid, P(t) and f(t) at each sample.
     peak : tuple
         (t*, P*) of the best sample in the trace.
     """
 
-    times: tuple
-    probability: tuple
-    fidelity: tuple
+    times: np.ndarray
+    probability: np.ndarray
+    fidelity: np.ndarray
     peak: tuple
 
     def to_csv(self, path):
-        """Write the trace as CSV with header t,P,f at 15 significant digits."""
+        """Write the trace as CSV with header t,P,f at 15 significant digits.
+
+        Rows go out CSV_BLOCK at a time, each block formatted by one
+        ``%``-string, so the text of at most one block is held in memory.
+        """
+        columns = (self.times, self.probability, self.fidelity)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,P,f\n")
-            for t, p, f in zip(self.times, self.probability, self.fidelity):
-                fh.write(f"{t:.15g},{p:.15g},{f:.15g}\n")
+            for start in range(0, len(self.times), CSV_BLOCK):
+                block = np.column_stack([c[start:start + CSV_BLOCK] for c in columns])
+                fh.write("%.15g,%.15g,%.15g\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def transfer_probability(spec, times):
@@ -139,13 +147,12 @@ class CosineSeries:
             raise ValidationError(f"probability above 1: max {prob.max()}")
         prob = np.minimum(prob, 1.0)
         fid = fidelity_from_probability(prob)
+        times = np.array(times, dtype=float)
+        for column in (times, prob, fid):
+            column.flags.writeable = False
         best = int(np.argmax(prob))
-        return TransferTrace(
-            times=tuple(float(t) for t in times),
-            probability=tuple(float(p) for p in prob),
-            fidelity=tuple(float(f) for f in fid),
-            peak=(float(times[best]), float(prob[best])),
-        )
+        return TransferTrace(times=times, probability=prob, fidelity=fid,
+                             peak=(float(times[best]), float(prob[best])))
 
 
 def jacobi_series(jacobi):

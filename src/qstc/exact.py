@@ -11,9 +11,15 @@ polynomial of the A1-sublattice Jacobi matrix :func:`chains.jacobi_matrix`,
 which carries the nonzero part of the spectrum.  (The test suite checks it
 against the full Faddeev-LeVerrier polynomial of H.)
 
-``char_poly_report`` factors q over the rationals once and certifies the
-result against the cyclotomic prediction ``cyclotomic_factor_degrees``; the
-published degree column itself comes from ``table_degree``.
+``char_poly_report`` proves the rational factorization of q without factoring
+it.  With m = k+2, q(y) = (y - 1) * prod_{n | 2m, n >= 3} Psi_n(y - 3), where
+Psi_n (:func:`psi_poly`) is the minimal polynomial of 2 cos(2 pi / n).  Psi_n
+is irreducible over the rationals of degree phi(n)/2 (D. H. Lehmer, Amer.
+Math. Monthly 40, 165 (1933)) and is Phi_n(z) z^(-phi(n)/2) written in
+x = z + 1/z (W. Watkins and J. Zeitlin, Amer. Math. Monthly 100, 471 (1993)).
+So one exact check of that integer identity proves the degrees
+``cyclotomic_factor_degrees``; the published degree column itself comes from
+``table_degree``.
 
 The solvable families S5, S8, S14 and S44 are catalogued here once: their
 base spectra in ``_SEQUENCE_BASES``, the family tag of a length in
@@ -23,7 +29,6 @@ length in ``sequence_tags``, which ``spectrum --exact`` writes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import sympy as sy
@@ -53,6 +58,61 @@ def poly_mul(a, b):
             continue
         for j, y in enumerate(b):
             out[i + j] += x * y
+    return out
+
+
+def poly_shift(p, s):
+    """p(y - s), by Horner steps on the linear factor y - s."""
+    out = [p[-1]]
+    for c in reversed(p[:-1]):
+        out = poly_mul(out, [-s, 1])
+        out[0] += c
+    return out
+
+
+def cyclotomic_poly(n):
+    """Phi_n(z) for n >= 2, as prod_{d | n} (1 - z^d)^mu(n/d) mod z^(phi(n)+1).
+
+    Each factor is one pass over the coefficients: a product with 1 - z^d or
+    a division by it (a running sum with stride d); truncated power series
+    form a ring, so the order of the passes does not matter.
+    """
+    size = int(sy.totient(n)) + 1
+    p = [1] + [0] * (size - 1)
+    primes = sy.primefactors(n)
+    for mask in range(1 << len(primes)):
+        d, odd = n, False
+        for i, prime in enumerate(primes):
+            if mask >> i & 1:
+                d, odd = d // prime, not odd
+        if odd:  # mu(n/d) = -1
+            for i in range(d, size):
+                p[i] += p[i - d]
+        else:
+            for i in reversed(range(d, size)):
+                p[i] -= p[i - d]
+    return p
+
+
+def psi_poly(n):
+    """Minimal polynomial Psi_n(x) of 2 cos(2 pi / n), n >= 3, degree phi(n)/2.
+
+    Phi_n is palindromic of degree 2e, so z^(-e) Phi_n(z) = a_e +
+    sum_{j>=1} a_(e+j) (z^j + z^-j), and z^j + z^-j = C_j(z + 1/z) with
+    C_0 = 2, C_1 = x, C_(j+1) = x C_j - C_(j-1).
+    """
+    a = cyclotomic_poly(n)
+    e = len(a) // 2
+    out = [0] * (e + 1)
+    out[0] = a[e]
+    prev, cur = [2], [0, 1]
+    for j in range(1, e + 1):
+        for i, c in enumerate(cur):
+            out[i] += a[e + j] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
     return out
 
 
@@ -225,8 +285,11 @@ class CharPolyReport:
     """Exact spectral-algebra summary of a homogeneous chain.
 
     ``rational_degrees`` are the sorted degrees of the irreducible rational
-    factors of the reduced polynomial; ``certification`` is "proved" when they
-    equal :func:`cyclotomic_factor_degrees` and "evidence" otherwise.
+    factors of the reduced polynomial, :func:`cyclotomic_factor_degrees`.
+    ``certification`` is always "proved": :func:`char_poly_report` checks the
+    integer identity q(y) = (y - 1) prod_{n | 2m, n >= 3} Psi_n(y - 3), and
+    each Psi_n is irreducible of degree phi(n)/2 (Lehmer 1933; Watkins and
+    Zeitlin 1993), so the degrees follow with no factoring.
     """
 
     k: int
@@ -251,26 +314,30 @@ class CharPolyReport:
 
 
 def char_poly_report(k, allow_large=False):
-    """Full report for the homogeneous chain with N = 3k+5 qubits."""
+    """Full report for the homogeneous chain with N = 3k+5 qubits.
+
+    A reduced polynomial that fails the product identity is a
+    :class:`NumericalError`: both sides are exact, so it can only be a bug.
+    """
     cap = HARD_K_CAP if allow_large else DEFAULT_K_CAP
     if not 0 <= k <= cap:
         raise ValidationError(
             f"k={k} outside supported range 0..{cap}"
             + ("" if allow_large else " (pass allow_large=True up to 100)")
         )
-    if allow_large and k > DEFAULT_K_CAP:
-        warnings.warn(f"k={k}: exact factorization beyond k={DEFAULT_K_CAP} can be slow")
     q = reduced_charpoly_homogeneous(k)
-    y = sy.symbols("y")
-    factors = sy.factor_list(sy.Poly(list(reversed(q)), y, domain="ZZ"))[1]
-    rational = tuple(sorted(f.degree() for f, mult in factors for _ in range(mult)))
-    certification = "proved" if rational == cyclotomic_factor_degrees(k) else "evidence"
+    product = [-1, 1]  # y - 1, the root 3 + 2 cos(pi)
+    for n in sy.divisors(2 * (k + 2)):
+        if n >= 3:
+            product = poly_mul(product, poly_shift(psi_poly(n), 3))
+    if product != q:
+        raise NumericalError(f"k={k}: q(y) is not (y - 1) prod Psi_n(y - 3)")
     return CharPolyReport(
         k=k,
         n=3 * k + 5,
         reduced_poly=tuple(q),
-        rational_degrees=rational,
+        rational_degrees=cyclotomic_factor_degrees(k),
         max_degree=table_degree(k),
-        certification=certification,
+        certification="proved",
         sequence=classify_sequence(k),
     )

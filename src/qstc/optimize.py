@@ -48,6 +48,10 @@ class Scenario(str, Enum):
     FULL_K_PLUS_4 = "full_k_plus_4"
 
 
+#: the fixed parameter a scenario reads from ``fixed_params``
+FIXED_PARAM = {Scenario.FIXED_W_OPT_G: "w", Scenario.ALPHA_OPT_TG: "alpha"}
+
+
 def _dimension(scenario, k):
     if scenario == Scenario.FIXED_W_OPT_G:
         return 1
@@ -95,10 +99,13 @@ class OptProblem:
             if not 0 < lo < hi:
                 raise ValidationError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
         object.__setattr__(self, "bounds", bounds)
-        if scenario == Scenario.FIXED_W_OPT_G and "w" not in self.fixed_params:
-            raise ValidationError("fixed_w_opt_g needs fixed_params['w']")
-        if scenario == Scenario.ALPHA_OPT_TG and "alpha" not in self.fixed_params:
-            raise ValidationError("alpha_opt_tg needs fixed_params['alpha']")
+        name = FIXED_PARAM.get(scenario)
+        if name is not None:
+            if name not in self.fixed_params:
+                raise ValidationError(f"{scenario.value} needs fixed_params[{name!r}]")
+            if not 0 < self.fixed_params[name] < math.inf:
+                raise ValidationError(f"fixed parameter {name} must be positive and finite, "
+                                      f"got {self.fixed_params[name]}")
 
     @property
     def dimension(self):
@@ -220,7 +227,7 @@ def problems_from_config(config):
         return [OptProblem(k=k, arrival_time=arrival, fixed_params=fixed, **common)]
 
     sweep_cfg = config_field(config, "sweep", dict)
-    fixed_name = {Scenario.FIXED_W_OPT_G: "w", Scenario.ALPHA_OPT_TG: "alpha"}.get(scenario)
+    fixed_name = FIXED_PARAM.get(scenario)
     unread = {"w", "alpha"} - {fixed_name}
     check_keys(sweep_cfg, SWEEP_KEYS - unread, f"{scenario.value} sweep")
     k_values = config_field(sweep_cfg, "k", lambda ks: [int(k) for k in ks], None)

@@ -14,11 +14,17 @@ N=11 PST designs.  The Jacobi eigen-core
 
 ``hamiltonian_from_edges`` builds H from the labelled edge list of the chain,
 the reference for the index-array assembly of ``chains.build_hamiltonian``.
+
+``factor_degrees`` factors an integer polynomial with sympy's general
+``factor_list``, the reference for the product-identity certificate of
+``exact.char_poly_report``; ``write_trace_csv`` is the per-row writer that
+``dynamics.TransferTrace.to_csv`` must match byte for byte.
 """
 
 import math
 
 import numpy as np
+import sympy as sy
 
 from qstc import chains, dynamics
 from qstc.errors import NumericalError, StructuralError, UnsupportedInputError, ValidationError
@@ -87,6 +93,22 @@ def reduce_even(p, k):
     if q[-1] < 0:
         q = [-c for c in q]
     return poly_trim(q)
+
+
+def factor_degrees(p):
+    """Sorted degrees of the irreducible rational factors of ``p``, with multiplicity."""
+    y = sy.symbols("y")
+    factors = sy.factor_list(sy.Poly(list(reversed(p)), y, domain="ZZ"))[1]
+    return tuple(sorted(f.degree() for f, mult in factors for _ in range(mult)))
+
+
+def write_trace_csv(trace, path):
+    """CSV of a transfer trace, one f-string of Python floats per row."""
+    columns = (np.asarray(c).tolist() for c in (trace.times, trace.probability, trace.fidelity))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,P,f\n")
+        for t, p, f in zip(*columns):
+            fh.write(f"{t:.15g},{p:.15g},{f:.15g}\n")
 
 
 def hamiltonian_from_edges(spec):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qstc import chains, cli, design, dynamics, spectral
+from qstc import chains, cli, design, dynamics, exact, spectral
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -299,6 +299,21 @@ class TestOptimizeCommand:
         manifest = json.loads((workdir / "qstc-manifest.json").read_text())
         assert manifest["error"].startswith("NumericalError")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("alpha", value) for value in (0.0, -1.0, math.inf, math.nan)]
+        + [("w", value) for value in (0.0, -0.5, math.nan)],
+    )
+    def test_bad_fixed_parameter_rejected(self, workdir, name, value):
+        # json.dumps writes inf and nan as Infinity and NaN, which json.load reads back
+        scenario = {"alpha": "alpha_opt_tg", "w": "fixed_w_opt_g"}[name]
+        cfg = self.config(workdir / "cfg.json", scenario=scenario, fixed_params={},
+                          sweep={name: [value], "T_multiples": [5]})
+        assert run(["optimize", "--config", cfg]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("ValidationError")
+        assert "must be positive and finite" in manifest["error"]
+
     def test_missing_time_rejected(self, workdir):
         cfg = workdir / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "fixed_w_opt_g", "k": 2, "seed": 1,
@@ -383,6 +398,14 @@ class TestSequencesCommand:
         rows = json.loads(out.read_text())["rows"]
         got = [(r["k"], r["N"], r["sequence"], r["poly"]) for r in rows]
         assert got == self.EXPECTED
+
+    def test_failed_identity_is_numerical(self, workdir, monkeypatch):
+        reduced = exact.reduced_charpoly_homogeneous
+        monkeypatch.setattr(exact, "reduced_charpoly_homogeneous",
+                            lambda k: [*reduced(k)[:-1], 2])
+        assert run(["sequences", "--k-max", "3"]) == 3
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("NumericalError")
 
     def test_stdout_table(self, workdir, capsys):
         assert run(["sequences", "--k-max", "3"]) == 0

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import dimerized_chain
+from oracles import dimerized_chain, write_trace_csv
 from qstc import chains, design, dynamics
 from qstc.errors import ValidationError
 
@@ -116,6 +116,36 @@ class TestTransferProbability:
         assert lines[0] == "t,P,f"
         assert len(lines) == 3
         assert lines[2].startswith("1,")
+
+    def test_csv_matches_per_row_writer(self, tmp_path):
+        # more than two blocks, so block boundaries fall mid-trace and the
+        # last block is short
+        n = 2 * dynamics.CSV_BLOCK + 123
+        special = [0.0, 1.0, 5e-324, 1e-17, 2000.0]
+        times = np.concatenate([special, np.linspace(0.0, 2000.0, n - len(special))])
+        prob = np.concatenate([np.random.default_rng(5).random(n - len(special)),
+                               [0.0, 1.0, 5e-324, 1e-17, 1.0]])
+        around = dynamics.CSV_BLOCK - 2
+        times[around:around + len(special)] = special
+        trace = dynamics.TransferTrace(times, prob, dynamics.fidelity_from_probability(prob),
+                                       (0.0, 0.0))
+        trace.to_csv(tmp_path / "blocks.csv")
+        write_trace_csv(trace, tmp_path / "rows.csv")
+        got = (tmp_path / "blocks.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert got.count(b"\n") == n + 1
+        # 5e-324 is the smallest subnormal, 4.94065645841247e-324 at 15 digits
+        assert b"\n4.94065645841247e-324," in got and b",4.94065645841247e-324," in got
+        assert b"\n1e-17," in got and b",1e-17," in got
+
+    def test_trace_arrays_read_only(self):
+        times = np.linspace(0.0, 10.0, 50)
+        trace = dynamics.transfer_probability(chains.homogeneous_chain(8), times)
+        for column in (trace.times, trace.probability, trace.fidelity):
+            assert isinstance(column, np.ndarray) and column.dtype == float
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+        assert times.flags.writeable  # the caller's grid is not frozen
 
 
 class TestCosineSeries:

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import char_poly_exact, poly_eval, reduce_even
+from oracles import char_poly_exact, factor_degrees, poly_eval, reduce_even
 from qstc import chains, exact
-from qstc.errors import StructuralError, UnsupportedInputError, ValidationError
+from qstc.errors import NumericalError, StructuralError, UnsupportedInputError, ValidationError
 
 # Frozen oracle: reported highest factor degree for k = 1..30.  Independently
 # derived from the squared-eigenvalue formula y_j = 3 + 2 cos(pi j / (k+2))
@@ -135,6 +136,24 @@ class TestClassification:
             assert sum(exact.cyclotomic_factor_degrees(k)) == k + 2
 
 
+class TestMinimalPolynomials:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_cyclotomic_poly(self, n):
+        z = sy.symbols("z")
+        want = sy.Poly(sy.cyclotomic_poly(n, z), z).all_coeffs()[::-1]
+        assert exact.cyclotomic_poly(n) == [int(c) for c in want]
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_psi_is_minimal_polynomial_of_2cos(self, n):
+        x = sy.symbols("x")
+        want = sy.Poly(sy.minimal_polynomial(2 * sy.cos(2 * sy.pi / n), x), x).all_coeffs()[::-1]
+        assert exact.psi_poly(n) == [int(c) for c in want]
+
+    def test_shift(self):
+        # (y - 3)^2 + 1 = y^2 - 6 y + 10
+        assert exact.poly_shift([1, 0, 1], 3) == [10, -6, 1]
+
+
 class TestCharPolyReport:
     def test_report_fields(self):
         report = exact.char_poly_report(2)
@@ -149,6 +168,23 @@ class TestCharPolyReport:
             report = exact.char_poly_report(k)
             assert report.rational_degrees == exact.cyclotomic_factor_degrees(k)
             assert report.certification == "proved"
+
+    @pytest.mark.parametrize("k", [*range(0, 31), 50, 75, 100])
+    def test_rational_degrees_match_factoring_oracle(self, k):
+        report = exact.char_poly_report(k, allow_large=True)
+        assert report.rational_degrees == factor_degrees(list(report.reduced_poly))
+        assert report.certification == "proved"
+
+    def test_perturbed_polynomial_is_numerical_error(self, monkeypatch):
+        reduced = exact.reduced_charpoly_homogeneous
+
+        def perturbed(k):
+            q = reduced(k)
+            return [q[0] + 1, *q[1:]]
+
+        monkeypatch.setattr(exact, "reduced_charpoly_homogeneous", perturbed)
+        with pytest.raises(NumericalError):
+            exact.char_poly_report(4)
 
     def test_to_dict_serializes_big_ints(self):
         payload = exact.char_poly_report(10).to_dict()
