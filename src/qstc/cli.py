@@ -56,13 +56,14 @@ def _write_json(payload, path):
 def _cmd_spectrum(args):
     import numpy as np
 
-    from . import chains, exact, spectral
+    from . import chains, spectral
 
     spec = chains.load_spec(args.spec_file)
     h = chains.build_hamiltonian(spec)
     spectrum = spectral.decompose(h)
     tags = exact_payload = None
     if args.exact:
+        from . import exact
         from .errors import UnsupportedInputError
 
         if any(c != 1.0 for c in spec.t + spec.w + spec.g):
@@ -234,7 +235,10 @@ def _cmd_glue(args):
 
 def _cmd_sequences(args):
     from . import exact
+    from .errors import ValidationError
 
+    if args.k_max < 1:
+        raise ValidationError(f"k-max must be >= 1, got {args.k_max}")
     rows = []
     for k in range(1, args.k_max + 1):
         report = exact.char_poly_report(k, allow_large=args.k_max > exact.DEFAULT_K_CAP)

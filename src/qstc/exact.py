@@ -21,23 +21,59 @@ So one exact check of that integer identity proves the degrees
 ``cyclotomic_factor_degrees``; the published degree column itself comes from
 ``table_degree``.
 
+The divisors, totients and prime factors these identities need come from the
+integer helpers below, so importing this module does not load sympy.
+
 The solvable families S5, S8, S14 and S44 are catalogued here once: their
-base spectra in ``_SEQUENCE_BASES``, the family tag of a length in
+base lengths in ``_SEQUENCE_LENGTHS``, the family tag of a length in
 ``classify_sequence`` and the nested-radical eigenvalues of a catalogued
-length in ``sequence_tags``, which ``spectrum --exact`` writes.
+length in ``sequence_tags``, which ``spectrum --exact`` writes.  Only
+``sequence_tags`` prints radicals, so it alone imports sympy, when called;
+``_sequence_bases`` builds the families' base spectra there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import sympy as sy
+from math import isqrt
 
 from . import chains
 from .errors import NumericalError, ValidationError
 
 DEFAULT_K_CAP = 50
 HARD_K_CAP = 100
+
+
+# ---------------------------------------------------------------------------
+# integer number theory (n >= 1)
+# ---------------------------------------------------------------------------
+
+
+def prime_factors(n):
+    """Distinct prime factors of n, ascending, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def totient(n):
+    """Euler's phi(n) = n prod_{p | n} (1 - 1/p)."""
+    for p in prime_factors(n):
+        n -= n // p
+    return n
+
+
+def divisors(n):
+    """Divisors of n, ascending."""
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +113,9 @@ def cyclotomic_poly(n):
     a division by it (a running sum with stride d); truncated power series
     form a ring, so the order of the passes does not matter.
     """
-    size = int(sy.totient(n)) + 1
+    size = totient(n) + 1
     p = [1] + [0] * (size - 1)
-    primes = sy.primefactors(n)
+    primes = prime_factors(n)
     for mask in range(1 << len(primes)):
         d, odd = n, False
         for i, prime in enumerate(primes):
@@ -159,9 +195,9 @@ def cyclotomic_factor_degrees(k):
     """
     m = k + 2
     degrees = [1]  # n = 2, root y = 1
-    for n in sy.divisors(2 * m):
+    for n in divisors(2 * m):
         if n >= 3:
-            degrees.append(int(sy.totient(n)) // 2)
+            degrees.append(totient(n) // 2)
     return tuple(sorted(degrees))
 
 
@@ -184,53 +220,59 @@ def table_degree(k):
     """
     m = k + 2
     worst = 2
-    for n in sy.divisors(2 * m):
+    for n in divisors(2 * m):
         if n < 3:
             continue
         u = _odd_part(n)
         if u in (1, 3, 5, 15):
             reported = 2
-        elif u == 3 ** sy.multiplicity(3, u):
+        elif prime_factors(u) == [3]:
             reported = 3  # pure power of 3: trisection tower
         else:
             # angle halvings peel the even conductor part; the obstruction
             # degree comes from the odd part alone
-            reported = int(sy.totient(u)) // 2
+            reported = totient(u) // 2
         worst = max(worst, reported)
     return worst
 
 
-_SQRT5 = sy.sqrt(5)
+# Length N0 of the shortest chain of each catalogued family.
+_SEQUENCE_LENGTHS = (5, 8, 14, 44)
 
-# Base values of theta (squared eigenvalue minus 3) for the shortest chain of
-# each catalogued family, keyed by its length N0.
-_SEQUENCE_BASES = {
-    5: [sy.Integer(0), sy.Integer(-2)],
-    8: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)],
-    14: [
-        sy.Integer(-2),
-        sy.Rational(-1, 2) + _SQRT5 / 2,
-        sy.Rational(-1, 2) - _SQRT5 / 2,
-        sy.Rational(1, 2) + _SQRT5 / 2,
-        sy.Rational(1, 2) - _SQRT5 / 2,
-    ],
-    # For N=44 the eight deepest values carry linked signs: the sign inside
-    # the inner radical is opposite to the sign of the sqrt(5) term.
-    44: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)]
-    + [sy.Rational(s0, 2) + s1 * _SQRT5 / 2 for s0 in (-1, 1) for s1 in (1, -1)]
-    + [
-        s0 * (sy.Integer(1) + s1 * _SQRT5 + s2 * sy.sqrt(30 - s1 * 6 * _SQRT5)) / 4
-        for s0 in (1, -1)
-        for s1 in (1, -1)
-        for s2 in (1, -1)
-    ],
-}
+
+def _sequence_bases(n0):
+    """Base values of theta (squared eigenvalue minus 3) for the family of N0."""
+    import sympy as sy
+
+    sqrt5 = sy.sqrt(5)
+    bases = {
+        5: [sy.Integer(0), sy.Integer(-2)],
+        8: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)],
+        14: [
+            sy.Integer(-2),
+            sy.Rational(-1, 2) + sqrt5 / 2,
+            sy.Rational(-1, 2) - sqrt5 / 2,
+            sy.Rational(1, 2) + sqrt5 / 2,
+            sy.Rational(1, 2) - sqrt5 / 2,
+        ],
+        # For N=44 the eight deepest values carry linked signs: the sign inside
+        # the inner radical is opposite to the sign of the sqrt(5) term.
+        44: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)]
+        + [sy.Rational(s0, 2) + s1 * sqrt5 / 2 for s0 in (-1, 1) for s1 in (1, -1)]
+        + [
+            s0 * (sy.Integer(1) + s1 * sqrt5 + s2 * sy.sqrt(30 - s1 * 6 * sqrt5)) / 4
+            for s0 in (1, -1)
+            for s1 in (1, -1)
+            for s2 in (1, -1)
+        ],
+    }
+    return bases[n0]
 
 
 def _family(k):
     """(N0, level) with 3k+5 = 2^level*(N0+1)-1 for a catalogued N0, else None."""
     n = 3 * k + 5
-    for n0 in _SEQUENCE_BASES:
+    for n0 in _SEQUENCE_LENGTHS:
         level, length = 0, n0
         while length < n:
             level, length = level + 1, 2 * length + 1
@@ -269,8 +311,10 @@ def sequence_tags(k):
     family = _family(k)
     if family is None:
         return None
+    import sympy as sy
+
     n0, level = family
-    thetas = list(_SEQUENCE_BASES[n0])
+    thetas = _sequence_bases(n0)
     for _ in range(level):
         thetas = _dedupe(thetas + [s * sy.sqrt(2 + th) for th in thetas for s in (1, -1)])
     if len(thetas) != k + 2:
@@ -327,7 +371,7 @@ def char_poly_report(k, allow_large=False):
         )
     q = reduced_charpoly_homogeneous(k)
     product = [-1, 1]  # y - 1, the root 3 + 2 cos(pi)
-    for n in sy.divisors(2 * (k + 2)):
+    for n in divisors(2 * (k + 2)):
         if n >= 3:
             product = poly_mul(product, poly_shift(psi_poly(n), 3))
     if product != q:

@@ -413,6 +413,48 @@ class TestSequencesCommand:
         assert lines[0] == "k,N,sequence,poly"
         assert lines[1] == "1,8,S8,2"
 
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_non_positive_k_max_rejected(self, workdir, k_max):
+        out = workdir / "rows.json"
+        assert run(["sequences", f"--k-max={k_max}", "--out", str(out)]) == 2
+        assert not out.exists()
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"] == f"ValidationError: k-max must be >= 1, got {k_max}"
+
+
+def test_sympy_loaded_only_by_exact_spectrum(workdir):
+    """Only ``spectrum --exact`` prints radicals, so only it imports sympy."""
+    write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+    (workdir / "cfg.json").write_text(json.dumps(
+        {"scenario": "fixed_w_opt_g", "k": 2, "seed": 9, "budget": 150, "T": 50.0,
+         "window_max": True, "fixed_params": {"w": 0.8}}))
+    script = """
+import json, sys
+from qstc import cli
+for argv in (
+    ["spectrum", "n11.json", "--verify-lemmas"],
+    ["sequences", "--k-max", "30"],
+    ["optimize", "--config", "cfg.json"],
+    ["evolve", "n11.json", "--tmax", "100", "--samples", "1000"],
+    ["glue", "n11.json"],
+    ["design", "pst", "--family", "n11", "--k", "1", "--v1", "2.0"],
+    ["design", "bound", "--w", "0.8"],
+    ["design", "pgt", "--spec", "n11.json", "--epsilon", "0.05", "--tmax", "1000"],
+):
+    assert cli.main(argv) == 0, argv
+assert "sympy" not in sys.modules
+assert cli.main(["spectrum", "n11.json", "--exact", "--out", "exact.json"]) == 0
+assert "sympy" in sys.modules
+print(json.dumps(json.load(open("exact.json"))["spectrum"]["tags"]))
+"""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    tags = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(tags) == 11
+    assert tags[-1] == "sqrt(sqrt(2) + 3)"
+
 
 class TestManifest:
     def test_success_manifest(self, workdir):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import char_poly_exact, factor_degrees, poly_eval, reduce_even
@@ -134,6 +134,23 @@ class TestClassification:
         # factor degrees partition deg q = k + 2
         for k in range(0, 25):
             assert sum(exact.cyclotomic_factor_degrees(k)) == k + 2
+
+
+class TestNumberTheory:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=10**5))
+    @example(n=1)
+    @example(n=2)
+    @example(n=3**10)
+    @example(n=99991)  # prime
+    @example(n=316**2)  # square: its root is listed once
+    def test_helpers_match_sympy(self, n):
+        assert exact.divisors(n) == sy.divisors(n)
+        assert exact.totient(n) == sy.totient(n)
+        assert exact.prime_factors(n) == sy.primefactors(n)
+        if n % 2 and n > 1:
+            # table_degree's test for a pure power of 3
+            assert (exact.prime_factors(n) == [3]) == (n == 3 ** sy.multiplicity(3, n))
 
 
 class TestMinimalPolynomials:
