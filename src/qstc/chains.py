@@ -9,7 +9,8 @@ three nonzeros per row.
 
 The graph is bipartite with the A1 qubits, the two corners among them, on one
 side; :func:`jacobi_matrix` is H^2 restricted to them, the tridiagonal matrix
-that carries corner-to-corner transfer.
+that carries corner-to-corner transfer.  It is the one builder of J, for one
+chain's coupling arrays or for stacks of them.
 
 Sites are ordered cell by cell, each pendant after its backbone qubit
 (:func:`build_hamiltonian`).  Any other order would only permute H: it changes
@@ -116,7 +117,7 @@ def mirror_sites(n_cells):
     return 3 * n_cells - s + np.array([0, 2, 1])[s % 3]
 
 
-def jacobi_matrix(spec):
+def jacobi_matrix(t, w, g):
     """Tridiagonal matrix J = B B^T on the A1 sublattice, A1_1 first.
 
     B is the block of H that couples the A1 qubits to the B and A2 qubits.
@@ -124,14 +125,21 @@ def jacobi_matrix(spec):
     restricted to them is J, with diagonal g_i^2 + t_i^2 + w_{i-1}^2 and
     off-diagonal t_i w_i.  Both corners are A1 qubits (rows 0 and -1), hence
     the corner amplitude is the (0, -1) element of cos(sqrt(J) t).
+
+    ``t`` and ``w`` have shape (..., n_cells) and ``g`` (..., n_cells + 1),
+    one chain's couplings or a stack of them (the optimizer passes a whole
+    population); J has shape (..., n_cells + 1, n_cells + 1).  Every entry is
+    computed elementwise, so a member's J has the same bits in any stack.
     """
-    t = np.asarray(spec.t)
-    w = np.asarray(spec.w)
-    diag = np.asarray(spec.g) ** 2
-    diag[:-1] += t**2
-    diag[1:] += w**2
-    off = t * w
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    t, w = np.asarray(t, dtype=float), np.asarray(w, dtype=float)
+    diag = np.asarray(g, dtype=float) ** 2
+    diag[..., :-1] += t**2
+    diag[..., 1:] += w**2
+    i = np.arange(diag.shape[-1])
+    jac = np.zeros(diag.shape + i.shape)
+    jac[..., i, i] = diag
+    jac[..., i[:-1], i[1:]] = jac[..., i[1:], i[:-1]] = t * w
+    return jac
 
 
 def backbone_sequence(spec):

@@ -241,7 +241,7 @@ def _cmd_sequences(args):
         raise ValidationError(f"k-max must be >= 1, got {args.k_max}")
     rows = []
     for k in range(1, args.k_max + 1):
-        report = exact.char_poly_report(k, allow_large=args.k_max > exact.DEFAULT_K_CAP)
+        report = exact.char_poly_report(k)
         rows.append(
             {
                 "k": k,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chains
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 #: probability may exceed 1 by at most this much before it is an error
 PROB_SLACK = 1e-9
@@ -141,10 +141,14 @@ class CosineSeries:
         return self.amplitude(times) ** 2
 
     def trace(self, times):
-        """Sampled :class:`TransferTrace`; P above 1 + PROB_SLACK is an error."""
+        """Sampled :class:`TransferTrace`.
+
+        P above 1 + PROB_SLACK can only come from a broken series, so it is a
+        :class:`NumericalError`, as in :func:`optimize.objective`.
+        """
         prob = self.probability(times)
         if prob.max() > 1 + PROB_SLACK:
-            raise ValidationError(f"probability above 1: max {prob.max()}")
+            raise NumericalError(f"probability above 1: max {prob.max()}")
         prob = np.minimum(prob, 1.0)
         fid = fidelity_from_probability(prob)
         times = np.array(times, dtype=float)
@@ -175,7 +179,7 @@ def chain_series(spec):
     positive definite, so every frequency is positive.  Frequencies come out
     ascending.  No mirror symmetry is needed.
     """
-    freqs, coeffs = jacobi_series(chains.jacobi_matrix(spec))
+    freqs, coeffs = jacobi_series(chains.jacobi_matrix(spec.t, spec.w, spec.g))
     return CosineSeries(tuple(freqs.tolist()), tuple(coeffs.tolist()))
 
 

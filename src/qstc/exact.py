@@ -40,8 +40,7 @@ from math import isqrt
 from . import chains
 from .errors import NumericalError, ValidationError
 
-DEFAULT_K_CAP = 50
-HARD_K_CAP = 100
+K_CAP = 100
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +166,8 @@ def reduced_charpoly_homogeneous(k):
     """
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    jac = chains.jacobi_matrix(chains.homogeneous_chain(3 * k + 5)).astype(int).tolist()
+    spec = chains.homogeneous_chain(3 * k + 5)
+    jac = chains.jacobi_matrix(spec.t, spec.w, spec.g).astype(int).tolist()
     prev = [1]
     cur = [-jac[0][0], 1]
     for j in range(1, len(jac)):
@@ -357,18 +357,14 @@ class CharPolyReport:
         }
 
 
-def char_poly_report(k, allow_large=False):
+def char_poly_report(k):
     """Full report for the homogeneous chain with N = 3k+5 qubits.
 
     A reduced polynomial that fails the product identity is a
     :class:`NumericalError`: both sides are exact, so it can only be a bug.
     """
-    cap = HARD_K_CAP if allow_large else DEFAULT_K_CAP
-    if not 0 <= k <= cap:
-        raise ValidationError(
-            f"k={k} outside supported range 0..{cap}"
-            + ("" if allow_large else " (pass allow_large=True up to 100)")
-        )
+    if not 0 <= k <= K_CAP:
+        raise ValidationError(f"k={k} outside supported range 0..{K_CAP}")
     q = reduced_charpoly_homogeneous(k)
     product = [-1, 1]  # y - 1, the root 3 + 2 cos(pi)
     for n in divisors(2 * (k + 2)):

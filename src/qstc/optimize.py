@@ -12,12 +12,12 @@ assembled from the scenario's parameterization:
 
 The search is a differential-evolution loop (rand/1/bin) with a seeded
 generator and deferred updates (Storn & Price, J. Global Optim. 11, 341
-(1997)): each generation builds every member's trial against the
-generation's frozen population, with each member's draws taken in member
-order, evaluates the whole trial population as one stack through
-:func:`objective`, and then keeps each trial that is at least as good as its
-parent.  Identical problems and budgets give bitwise-identical results, so
-seeded runs stay byte-identical.
+(1997)): each generation takes every member's draws in member order, builds
+all trials against the generation's frozen population in one stacked
+expression, evaluates them as one stack through :func:`objective` (one
+coupling-array stack, one J stack, one ``eigh`` call), and then keeps each
+trial that is at least as good as its parent.  Identical problems and
+budgets give bitwise-identical results, so seeded runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class OptProblem:
         if len(bounds) != dim:
             raise ValidationError(f"need {dim} bounds pairs, got {len(bounds)}")
         for lo, hi in bounds:
-            if not 0 < lo < hi:
-                raise ValidationError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+            if not 0 < lo < hi < math.inf:
+                raise ValidationError(f"bounds must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
         object.__setattr__(self, "bounds", bounds)
         name = FIXED_PARAM.get(scenario)
         if name is not None:
@@ -115,24 +115,21 @@ class OptProblem:
     def n(self):
         return 3 * self.k + 5
 
-    def chain(self, params):
-        """ChainSpec for a parameter vector."""
-        nc = self.k + 1
+    def couplings(self, stack):
+        """Coupling arrays (t, w, g) of an (m, dim) parameter stack.
+
+        t and w have shape (m, k + 1), g (m, k + 2); row i holds the chain that
+        parameter row i describes, in :func:`chains.jacobi_matrix`'s layout.
+        """
+        x = np.asarray(stack, dtype=float)
         if self.scenario == Scenario.FIXED_W_OPT_G:
-            w = float(self.fixed_params["w"])
-            g = float(params[0])
-            return chains.ChainSpec(
-                n_cells=nc, t=(1.0,) * nc, w=(w,) * nc, g=(g,) * (nc + 1)
-            )
-        if self.scenario == Scenario.ALPHA_OPT_TG:
-            t, g = float(params[0]), float(params[1])
-            w = t / float(self.fixed_params["alpha"])
-            return chains.ChainSpec(
-                n_cells=nc, t=(t,) * nc, w=(w,) * nc, g=(g,) * (nc + 1)
-            )
-        t, w = float(params[0]), float(params[1])
-        g = tuple(float(x) for x in params[2:])
-        return chains.ChainSpec(n_cells=nc, t=(t,) * nc, w=(w,) * nc, g=g)
+            t, w, g = 1.0, float(self.fixed_params["w"]), x[:, :1]
+        elif self.scenario == Scenario.ALPHA_OPT_TG:
+            t, w, g = x[:, :1], x[:, :1] / float(self.fixed_params["alpha"]), x[:, 1:]
+        else:
+            t, w, g = x[:, :1], x[:, 1:2], x[:, 2:]
+        cells = np.ones((len(x), self.k + 1))
+        return t * cells, w * cells, g * np.ones((len(x), self.k + 2))
 
     def to_dict(self):
         return {
@@ -253,9 +250,11 @@ def problems_from_config(config):
 def objective(problem, params, beat=None):
     """Transfer probability for one parameter vector or an (m, dim) stack.
 
-    P(T), or with ``window_max`` the maximum of P over [0, T].  Every member is
-    bounds-checked and built through ``problem.chain`` and
-    :func:`chains.jacobi_matrix`; the stack then takes one ``eigh`` call
+    P(T), or with ``window_max`` the maximum of P over [0, T].  The stack is
+    bounds-checked as a whole; since 0 < lo and hi < inf, and a fixed w or
+    alpha is positive and finite, every coupling is then positive and finite.
+    :meth:`OptProblem.couplings` and one :func:`chains.jacobi_matrix` call
+    build every member's J at once; the stack then takes one ``eigh`` call
     (:func:`dynamics.jacobi_series`) and, for window maxima, one
     :func:`dynamics.scan_peaks` call.  A vector gives a float, a stack an
     array; a stacked value has the same bits as the vector's for fixed T, and
@@ -281,8 +280,7 @@ def objective(problem, params, beat=None):
         raise ValidationError(
             f"parameter {stack[row, col]} outside bounds ({lo[col]}, {hi[col]})"
         )
-    jacobi = np.array([chains.jacobi_matrix(problem.chain(x)) for x in stack])
-    freqs, coeffs = dynamics.jacobi_series(jacobi)
+    freqs, coeffs = dynamics.jacobi_series(chains.jacobi_matrix(*problem.couplings(stack)))
     arrival = problem.arrival_time
     if problem.window_max:
         probs = np.full(len(stack), -1.0)
@@ -355,16 +353,16 @@ def optimize(problem, budget, warm_start=None):
     evaluations = pop_size
     trajectory = [float(fitness.max())]
 
-    trials = np.empty_like(pop)
+    r = np.empty((pop_size, 3), dtype=int)
+    mask = np.empty((pop_size, dim), dtype=bool)
     while evaluations + pop_size <= budget:
-        for i in range(pop_size):
-            r = rng.choice(pop_size - 1, size=3, replace=False)
-            r[r >= i] += 1
-            mutant = pop[r[0]] + DIFFERENTIAL_WEIGHT * (pop[r[1]] - pop[r[2]])
-            mutant = np.clip(mutant, lo, hi)
-            mask = rng.random(dim) < CROSSOVER
-            mask[rng.integers(dim)] = True
-            trials[i] = np.where(mask, mutant, pop[i])
+        for i in range(pop_size):  # member by member, so the draws keep their order
+            r[i] = rng.choice(pop_size - 1, size=3, replace=False)
+            mask[i] = rng.random(dim) < CROSSOVER
+            mask[i, rng.integers(dim)] = True
+        r += r >= np.arange(pop_size)[:, None]  # skip the member itself
+        mutant = pop[r[:, 0]] + DIFFERENTIAL_WEIGHT * (pop[r[:, 1]] - pop[r[:, 2]])
+        trials = np.where(mask, np.clip(mutant, lo, hi), pop)
         f_trial = objective(problem, trials, beat=fitness)
         evaluations += pop_size
         better = f_trial >= fitness

@@ -1,4 +1,5 @@
-"""Independent test oracles for :mod:`qstc.exact`, :mod:`qstc.design` and :mod:`qstc.chains`.
+"""Independent test oracles for :mod:`qstc.exact`, :mod:`qstc.design`, :mod:`qstc.chains`
+and :mod:`qstc.optimize`.
 
 ``char_poly_exact`` computes det(xI - H) of any integer matrix by the
 Faddeev-LeVerrier recursion, without the chain structure that
@@ -13,7 +14,11 @@ N=11 PST designs.  The Jacobi eigen-core
 (``dynamics.chain_series``) is compared against them.
 
 ``hamiltonian_from_edges`` builds H from the labelled edge list of the chain,
-the reference for the index-array assembly of ``chains.build_hamiltonian``.
+the reference for the index-array assembly of ``chains.build_hamiltonian``;
+``jacobi_from_diagonals`` builds one chain's J from its three diagonals, the
+reference for the stacked ``chains.jacobi_matrix``.  ``problem_chain`` builds
+the ``ChainSpec`` of one optimizer parameter vector, float by float, the
+reference for the stacked ``optimize.OptProblem.couplings``.
 
 ``factor_degrees`` factors an integer polynomial with sympy's general
 ``factor_list``, the reference for the product-identity certificate of
@@ -26,7 +31,7 @@ import math
 import numpy as np
 import sympy as sy
 
-from qstc import chains, dynamics
+from qstc import chains, dynamics, optimize
 from qstc.errors import NumericalError, StructuralError, UnsupportedInputError, ValidationError
 from qstc.exact import poly_trim
 
@@ -129,6 +134,37 @@ def hamiltonian_from_edges(spec):
     for a, b, c in edges:
         h[index[a], index[b]] = h[index[b], index[a]] = c
     return h
+
+
+def jacobi_from_diagonals(spec):
+    """J of one chain as the sum of its diagonal and off-diagonal matrices."""
+    t = np.asarray(spec.t)
+    w = np.asarray(spec.w)
+    diag = np.asarray(spec.g) ** 2
+    diag[:-1] += t**2
+    diag[1:] += w**2
+    off = t * w
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def problem_chain(problem, params):
+    """ChainSpec for one parameter vector of an optimization problem."""
+    nc = problem.k + 1
+    if problem.scenario == optimize.Scenario.FIXED_W_OPT_G:
+        w = float(problem.fixed_params["w"])
+        g = float(params[0])
+        return chains.ChainSpec(
+            n_cells=nc, t=(1.0,) * nc, w=(w,) * nc, g=(g,) * (nc + 1)
+        )
+    if problem.scenario == optimize.Scenario.ALPHA_OPT_TG:
+        t, g = float(params[0]), float(params[1])
+        w = t / float(problem.fixed_params["alpha"])
+        return chains.ChainSpec(
+            n_cells=nc, t=(t,) * nc, w=(w,) * nc, g=(g,) * (nc + 1)
+        )
+    t, w = float(params[0]), float(params[1])
+    g = tuple(float(x) for x in params[2:])
+    return chains.ChainSpec(n_cells=nc, t=(t,) * nc, w=(w,) * nc, g=g)
 
 
 def probability_closed_form_pst(family, k):

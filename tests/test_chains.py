@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hamiltonian_from_edges
+from oracles import hamiltonian_from_edges, jacobi_from_diagonals
 from qstc import chains
 from qstc.errors import ValidationError
 
@@ -86,6 +86,25 @@ class TestHamiltonian:
         spec = random_chain(np.random.default_rng(seed), nc)
         h = chains.build_hamiltonian(spec).toarray()
         assert h.tobytes() == hamiltonian_from_edges(spec).tobytes()
+
+
+class TestJacobiMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_cells=st.integers(min_value=1, max_value=7),
+        size=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stack_equals_per_member(self, n_cells, size, seed):
+        rng = np.random.default_rng(seed)
+        specs = [random_chain(rng, n_cells, lo=0.05, hi=4.0) for _ in range(size)]
+        t, w, g = (np.array([getattr(spec, name) for spec in specs]) for name in "twg")
+        stacked = chains.jacobi_matrix(t, w, g)
+        assert stacked.shape == (size, n_cells + 1, n_cells + 1)
+        assert np.array_equal(chains.jacobi_matrix(t[None], w[None], g[None])[0], stacked)
+        for spec, jac in zip(specs, stacked):
+            assert np.array_equal(jac, chains.jacobi_matrix(spec.t, spec.w, spec.g))
+            assert np.array_equal(jac, jacobi_from_diagonals(spec))
 
 
 class TestSymmetry:

@@ -141,6 +141,20 @@ class TestEvolveCommand:
         spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
         assert run(["evolve", spec_file, "--tmax", "10", "--samples", "1"]) == 2
 
+    def test_probability_above_one_is_numerical(self, workdir, monkeypatch):
+        # the chain is valid, so P > 1 is a numerical fault (exit 3), not bad input
+        spec_file = write_spec(workdir / "pst.json", design.design_pst_n8(1, 1.7320508).chain())
+        series = dynamics.jacobi_series
+
+        def inflated(jacobi):
+            freqs, coeffs = series(jacobi)
+            return freqs, 1.5 * coeffs
+
+        monkeypatch.setattr(dynamics, "jacobi_series", inflated)
+        assert run(["evolve", spec_file, "--tmax", "4", "--samples", "101"]) == 3
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("NumericalError: probability above 1")
+
 
 class TestDesignCommand:
     def test_pst_json(self, workdir):
@@ -298,6 +312,13 @@ class TestOptimizeCommand:
         assert run(["optimize", "--config", cfg]) == 3
         manifest = json.loads((workdir / "qstc-manifest.json").read_text())
         assert manifest["error"].startswith("NumericalError")
+
+    def test_infinite_bound_rejected(self, workdir):
+        # rng.uniform cannot draw from [0.05, inf]; the bound itself is bad input
+        cfg = self.config(workdir / "cfg.json", bounds=[[0.05, math.inf]])
+        assert run(["optimize", "--config", cfg]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("ValidationError: bounds must satisfy")
 
     @pytest.mark.parametrize(
         "name, value",

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from oracles import dimerized_chain, write_trace_csv
 from qstc import chains, design, dynamics
-from qstc.errors import ValidationError
+from qstc.errors import NumericalError, ValidationError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -166,8 +166,22 @@ class TestCosineSeries:
         assert np.max(np.abs(series.amplitude(t))) <= ceiling + 1e-12
 
     def test_trace_rejects_probability_above_one(self):
-        with pytest.raises(ValidationError):
+        # only a broken series gives P > 1: a numerical fault, not bad input
+        with pytest.raises(NumericalError, match="probability above 1"):
             dynamics.CosineSeries((0.0,), (1.1,)).trace([0.0])
+
+    def test_inflated_series_is_numerical_error(self, monkeypatch):
+        # coefficients scaled by 1.5 push P(pi) of the N = 8 PST chain past 2
+        spec = design.design_pst_n8(1, 1.7320508).chain()
+        series = dynamics.jacobi_series
+
+        def inflated(jacobi):
+            freqs, coeffs = series(jacobi)
+            return freqs, 1.5 * coeffs
+
+        monkeypatch.setattr(dynamics, "jacobi_series", inflated)
+        with pytest.raises(NumericalError, match="probability above 1"):
+            dynamics.transfer_probability(spec, [math.pi])
 
     def test_trace_clips_roundoff_above_one(self):
         trace = dynamics.CosineSeries((0.0,), (1.0 + 1e-12,)).trace([0.0])
@@ -346,7 +360,7 @@ class TestCallShape:
     def test_stacked_eigh_matches_one_matrix_at_a_time(self):
         rng = np.random.default_rng(3)
         specs = [random_non_mirror_chain(4, int(seed)) for seed in rng.integers(0, 2**32, 40)]
-        jacobi = np.array([chains.jacobi_matrix(spec) for spec in specs])
+        jacobi = np.array([chains.jacobi_matrix(spec.t, spec.w, spec.g) for spec in specs])
         freqs, coeffs = dynamics.jacobi_series(jacobi)
         for spec, f, c in zip(specs, freqs, coeffs):
             series = dynamics.chain_series(spec)

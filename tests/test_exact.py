@@ -188,7 +188,7 @@ class TestCharPolyReport:
 
     @pytest.mark.parametrize("k", [*range(0, 31), 50, 75, 100])
     def test_rational_degrees_match_factoring_oracle(self, k):
-        report = exact.char_poly_report(k, allow_large=True)
+        report = exact.char_poly_report(k)
         assert report.rational_degrees == factor_degrees(list(report.reduced_poly))
         assert report.certification == "proved"
 
@@ -209,10 +209,12 @@ class TestCharPolyReport:
         assert payload["N"] == 35
 
     def test_k_cap(self):
+        # one cap: k = 51 ... 100 need no flag, k = 101 is out of range
+        assert exact.char_poly_report(51).certification == "proved"
+        with pytest.raises(ValidationError, match="0..100"):
+            exact.char_poly_report(101)
         with pytest.raises(ValidationError):
-            exact.char_poly_report(51)
-        with pytest.raises(ValidationError):
-            exact.char_poly_report(101, allow_large=True)
+            exact.char_poly_report(-1)
 
     @settings(max_examples=15, deadline=None)
     @given(k=st.integers(min_value=0, max_value=30))

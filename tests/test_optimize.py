@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import problem_chain
 from qstc import chains, design, dynamics, optimize
 from qstc.errors import NumericalError, ValidationError
 
@@ -55,20 +57,24 @@ class TestOptProblem:
             small_problem(bounds=((2.0, 1.0),))
         with pytest.raises(ValidationError):
             small_problem(bounds=((0.0, 1.0),))
+        # an infinite upper bound would let DE draw infinite couplings
+        with pytest.raises(ValidationError, match="inf"):
+            small_problem(bounds=((0.1, math.inf),))
 
     def test_chain_construction(self):
         p = small_problem()
-        spec = p.chain([1.2])
-        assert spec.n == p.n == 11
-        assert spec.w == (0.8, 0.8, 0.8)
-        assert spec.g == (1.2, 1.2, 1.2, 1.2)
+        t, w, g = p.couplings([[1.2]])
+        assert 3 * t.shape[1] + 2 == p.n == 11
+        assert t.tolist() == [[1.0, 1.0, 1.0]]
+        assert w.tolist() == [[0.8, 0.8, 0.8]]
+        assert g.tolist() == [[1.2, 1.2, 1.2, 1.2]]
 
 
 class TestObjective:
     def test_matches_dynamics(self):
         p = small_problem()
         value = optimize.objective(p, [1.1])
-        trace = dynamics.transfer_probability(p.chain([1.1]), [p.arrival_time])
+        trace = dynamics.transfer_probability(problem_chain(p, [1.1]), [p.arrival_time])
         assert value == trace.probability[0]
 
     def test_window_max_dominates_endpoint(self):
@@ -130,6 +136,25 @@ def random_population(problem, size, seed):
     return pop
 
 
+class TestCouplings:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scenario=st.sampled_from(list(optimize.Scenario)),
+        k=st.integers(min_value=0, max_value=6),
+        size=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stack_matches_problem_chain(self, scenario, k, size, seed):
+        problem = random_problem(scenario, k, 10.0, False)
+        pop = random_population(problem, size, seed)
+        t, w, g = problem.couplings(pop)
+        assert t.shape == w.shape == (size, k + 1)
+        assert g.shape == (size, k + 2)
+        for x, *row in zip(pop, t, w, g):
+            spec = problem_chain(problem, x)
+            assert [tuple(c) for c in row] == [spec.t, spec.w, spec.g]
+
+
 class TestStackedObjective:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -146,7 +171,7 @@ class TestStackedObjective:
         stacked = optimize.objective(problem, pop)
         assert stacked.shape == (size,)
         for x, value in zip(pop, stacked):
-            spec = problem.chain(x)
+            spec = problem_chain(problem, x)
             if window_max:
                 row = dynamics.peak_search(dynamics.chain_series(spec), arrival_time)[1]
                 assert value == pytest.approx(row, abs=1e-12)
@@ -240,14 +265,21 @@ class TestOptimize:
         assert res.evaluations == pop_size * (generations + 1)
         assert len(res.trajectory) == generations + 1
 
-    def test_matches_deferred_reference(self):
+    @pytest.mark.parametrize("scenario, k, budget, arrival_time", [
+        (optimize.Scenario.FIXED_W_OPT_G, 2, 300, 50.0),
+        (optimize.Scenario.ALPHA_OPT_TG, 3, 600, 30.0),
+        (optimize.Scenario.FULL_K_PLUS_4, 1, 1050, 30.0),
+    ])
+    def test_matches_deferred_reference(self, scenario, k, budget, arrival_time):
         # fixed T: a stacked value has the bits of the one-vector value, so the
         # stacked generation must reproduce the one-trial-at-a-time loop exactly
-        p = small_problem(scenario=optimize.Scenario.FULL_K_PLUS_4, k=1, fixed_params={},
-                          arrival_time=30.0)
-        res = optimize.optimize(p, 1050)
+        fixed = {optimize.Scenario.FIXED_W_OPT_G: {"w": 0.8},
+                 optimize.Scenario.ALPHA_OPT_TG: {"alpha": 2.0}}.get(scenario, {})
+        p = small_problem(scenario=scenario, k=k, fixed_params=fixed, arrival_time=arrival_time)
+        res = optimize.optimize(p, budget)
+        assert len(set(res.trajectory)) > 1  # some trial is kept, so the kept trials are compared
         best, best_p, evaluations, trajectory = deferred_de_reference(
-            p, 1050, optimize.objective
+            p, budget, optimize.objective
         )
         assert res.best_params == tuple(best)
         assert res.best_p == best_p

@@ -57,7 +57,7 @@ class TestJacobiSpectrum:
             g=couplings[2 * n_cells :],
         )
         assume(not chains.is_mirror_symmetric(spec))
-        root = np.sqrt(np.linalg.eigvalsh(chains.jacobi_matrix(spec)))
+        root = np.sqrt(np.linalg.eigvalsh(chains.jacobi_matrix(spec.t, spec.w, spec.g)))
         expected = np.sort(np.concatenate([-root, np.zeros(spec.k + 1), root]))
         lam = np.linalg.eigvalsh(chains.build_hamiltonian(spec).toarray())
         assert np.max(np.abs(lam - expected)) < 1e-10
