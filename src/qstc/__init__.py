@@ -3,7 +3,7 @@
 Submodules
 ----------
 chains    chain specifications and Hamiltonian assembly
-spectral  eigendecomposition, structural lemma checks, glueing
+spectral  eigenvalues, scale-free structural lemma checks, glueing
 exact     integer characteristic polynomials, the factor-degree column and
           the solvable-family catalogue
 dynamics  time evolution, transfer probability, cosine series

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_keys
+from .errors import UnsupportedInputError, ValidationError, check_keys
 
 
 def _check_couplings(name, values, expected_len):
@@ -130,11 +130,16 @@ def jacobi_matrix(t, w, g):
     one chain's couplings or a stack of them (the optimizer passes a whole
     population); J has shape (..., n_cells + 1, n_cells + 1).  Every entry is
     computed elementwise, so a member's J has the same bits in any stack.
+    Couplings whose squares overflow raise :class:`UnsupportedInputError`;
+    then every off-diagonal t_i w_i is finite too.
     """
     t, w = np.asarray(t, dtype=float), np.asarray(w, dtype=float)
-    diag = np.asarray(g, dtype=float) ** 2
-    diag[..., :-1] += t**2
-    diag[..., 1:] += w**2
+    with np.errstate(over="ignore"):
+        diag = np.asarray(g, dtype=float) ** 2
+        diag[..., :-1] += t**2
+        diag[..., 1:] += w**2
+    if not np.isfinite(diag).all():
+        raise UnsupportedInputError("couplings too large: their squares overflow")
     i = np.arange(diag.shape[-1])
     jac = np.zeros(diag.shape + i.shape)
     jac[..., i, i] = diag

@@ -59,8 +59,7 @@ def _cmd_spectrum(args):
     from . import chains, spectral
 
     spec = chains.load_spec(args.spec_file)
-    h = chains.build_hamiltonian(spec)
-    spectrum = spectral.decompose(h)
+    lam = spectral.eigenvalues(chains.build_hamiltonian(spec))
     tags = exact_payload = None
     if args.exact:
         from . import exact
@@ -73,7 +72,7 @@ def _cmd_spectrum(args):
     payload = {
         "N": spec.n,
         "k": spec.k,
-        "spectrum": spectral.spectrum_to_dict(spectrum, tags),
+        "spectrum": spectral.spectrum_to_dict(lam, tags),
     }
     if args.verify_lemmas:
         report = spectral.verify_lemmas(spec)
@@ -208,15 +207,14 @@ def _cmd_optimize(args):
 
 
 def _cmd_glue(args):
-    import numpy as np
-
     from . import chains, spectral
 
     parent = chains.load_spec(args.spec_file)
     result = spectral.glue(parent, args.bridge_v)
-    child_ev = np.linalg.eigvalsh(chains.build_hamiltonian(result.child).toarray())
-    parent_ev = np.linalg.eigvalsh(chains.build_hamiltonian(parent).toarray())
-    contained, worst = spectral.match_contained(parent_ev, child_ev, tol=1e-8)
+    child_ev = spectral.eigenvalues(chains.build_hamiltonian(result.child))
+    parent_ev = spectral.eigenvalues(chains.build_hamiltonian(parent))
+    contained, worst = spectral.match_contained(parent_ev, child_ev,
+                                                tol=spectral.tolerance(child_ev))
     payload = {
         "parent_N": parent.n,
         "child_N": result.child.n,
@@ -239,6 +237,8 @@ def _cmd_sequences(args):
 
     if args.k_max < 1:
         raise ValidationError(f"k-max must be >= 1, got {args.k_max}")
+    if args.k_max > exact.K_CAP:  # before any row is computed
+        raise ValidationError(f"k-max must be <= {exact.K_CAP}, got {args.k_max}")
     rows = []
     for k in range(1, args.k_max + 1):
         report = exact.char_poly_report(k)
@@ -278,7 +278,7 @@ def build_parser():
                         help="run-manifest path (default: qstc-manifest.json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="eigendecomposition of a chain spec")
+    p = sub.add_parser("spectrum", help="eigenvalues and structural checks of a chain spec")
     p.add_argument("spec_file")
     p.add_argument("--verify-lemmas", action="store_true")
     p.add_argument("--exact", action="store_true")

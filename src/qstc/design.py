@@ -183,7 +183,8 @@ class PgtSearchResult:
     ``reached`` tells whether some t <= t_max got the infidelity below
     epsilon; ``t_found`` is the earliest peak that does (None when not reached).
     ``best_t``/``best_infidelity`` always record the best point seen, with
-    ``best_infidelity`` = 1 - ``series.probability(best_t)`` bit for bit.
+    ``best_infidelity`` = 1 - ``series.probability(best_t)`` capped at 1, bit
+    for bit, so it is never negative.
     """
 
     epsilon: float
@@ -211,7 +212,7 @@ def pgt_search(series, epsilon, t_max):
 
     The one-row caller of :func:`dynamics.scan_peaks` with amplitude cap
     sqrt(1 - epsilon), stopped at the first chunk with a hit; otherwise the
-    best peak seen is kept.
+    best peak seen is kept.  Its P are capped at 1, so no infidelity is negative.
     """
     if not 0 < epsilon < 1:
         raise ValidationError(f"epsilon must be in (0,1), got {epsilon}")

@@ -24,9 +24,9 @@ one cosine per sample and frequency; the certificate allows for the rounding
 of those samples, local maxima are sought only in the sample blocks whose
 largest |a| could matter, all candidates of a chunk are refined by the same
 Newton steps, and every P it reports is a direct evaluation of the series at
-the reported time.  Given the values to beat (the optimizer passes its
-parents' fitness), the scan skips the members and maxima that cannot reach
-them.
+the reported time, capped at 1 by :func:`capped_probability`.  Given the
+values to beat (the optimizer passes its parents' fitness), the scan skips
+the members and maxima that cannot reach them.
 
 The averaged transmission fidelity is f = 1/2 + sqrt(P)/3 + P/6 with the
 controllable phase set to its optimal value.
@@ -52,6 +52,14 @@ NEWTON_STEPS = 8
 PHASOR_BLOCK = 32
 #: rows of a trace written by one format string in :meth:`TransferTrace.to_csv`
 CSV_BLOCK = 4096
+
+
+def capped_probability(p):
+    """``p`` capped at 1; above 1 + PROB_SLACK, or NaN, it raises :class:`NumericalError`."""
+    p = np.asarray(p, dtype=float)
+    if not p.max(initial=0.0) <= 1 + PROB_SLACK:
+        raise NumericalError(f"probability above 1: max {p.max()}")
+    return np.minimum(p, 1.0)
 
 
 def fidelity_from_probability(p):
@@ -141,15 +149,8 @@ class CosineSeries:
         return self.amplitude(times) ** 2
 
     def trace(self, times):
-        """Sampled :class:`TransferTrace`.
-
-        P above 1 + PROB_SLACK can only come from a broken series, so it is a
-        :class:`NumericalError`, as in :func:`optimize.objective`.
-        """
-        prob = self.probability(times)
-        if prob.max() > 1 + PROB_SLACK:
-            raise NumericalError(f"probability above 1: max {prob.max()}")
-        prob = np.minimum(prob, 1.0)
+        """Sampled :class:`TransferTrace`, P through :func:`capped_probability`."""
+        prob = capped_probability(self.probability(times))
         fid = fidelity_from_probability(prob)
         times = np.array(times, dtype=float)
         for column in (times, prob, fid):
@@ -325,8 +326,8 @@ def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
 
     Yields ``(members, times, probs, evaluations)`` per chunk: each
     candidate's row, its time (in time order within a segment), its P from
-    :func:`amplitudes` at that time (so ``series.probability(t)`` bit for bit),
-    and the samples plus refinement evaluations made.
+    :func:`amplitudes` at that time (so ``series.probability(t)`` capped at 1,
+    bit for bit), and the samples plus refinement evaluations made.
     """
     f = np.asarray(frequencies, dtype=float)
     c = np.asarray(coefficients, dtype=float)
@@ -372,7 +373,7 @@ def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
         p = amplitudes(fr, c[rows], t) ** 2
         p_sample = amplitudes(fr, c[rows], sample) ** 2
         better = p > p_sample
-        yield (rows, np.where(better, t, sample), np.where(better, p, p_sample),
+        yield (rows, np.where(better, t, sample), capped_probability(np.where(better, p, p_sample)),
                int(sz.sum()) + (steps + 1) * rows.size)
 
 
@@ -389,4 +390,4 @@ def peak_search(series, t_max):
         i = int(np.argmax(probs))
         if probs[i] > best_p:
             best_t, best_p = float(times[i]), float(probs[i])
-    return best_t, min(best_p, 1.0)
+    return best_t, best_p

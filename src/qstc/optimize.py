@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import chains, dynamics
-from .errors import NumericalError, QstcError, ValidationError, check_keys
+from .errors import QstcError, ValidationError, check_keys
 
 DEFAULT_BOUNDS = (0.05, 4.0)
 DEFAULT_BUDGET = 20000
@@ -258,8 +258,9 @@ def objective(problem, params, beat=None):
     (:func:`dynamics.jacobi_series`) and, for window maxima, one
     :func:`dynamics.scan_peaks` call.  A vector gives a float, a stack an
     array; a stacked value has the same bits as the vector's for fixed T, and
-    agrees with it to roundoff for window maxima.  A P above 1 + PROB_SLACK
-    can only come from a broken series: :class:`NumericalError` on both paths.
+    agrees with it to roundoff for window maxima.  On both paths every P
+    goes through :func:`dynamics.capped_probability`; couplings whose squares
+    overflow are an :class:`UnsupportedInputError` from the J builder.
 
     ``beat`` (a number or one per member, window maxima only) lets the scan
     skip what cannot decide ``value >= beat``: a member whose window maximum
@@ -287,10 +288,9 @@ def objective(problem, params, beat=None):
         for members, _, peaks, _ in dynamics.scan_peaks(freqs, coeffs, arrival, beat=beat):
             np.maximum.at(probs, members, peaks)
     else:
-        probs = dynamics.amplitudes(freqs, coeffs, np.full(len(stack), arrival)) ** 2
-    if probs.max() > 1 + dynamics.PROB_SLACK:
-        raise NumericalError(f"probability above 1: max {probs.max()}")
-    probs = np.minimum(probs, 1.0)
+        probs = dynamics.capped_probability(
+            dynamics.amplitudes(freqs, coeffs, np.full(len(stack), arrival)) ** 2
+        )
     return probs if params.ndim == 2 else float(probs[0])
 
 

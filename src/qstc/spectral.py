@@ -1,4 +1,4 @@
-"""Eigen-decomposition, glueing and the spectral self-checks.
+"""Eigenvalues, glueing and the spectral self-checks.
 
 The structural facts used throughout:
 
@@ -9,6 +9,12 @@ The structural facts used throughout:
   N+1 new eigenvalues being those of an (N+1)x(N+1) bordered block.  The
   child is built by :func:`chains.mirror_chain` and block-diagonalized in
   cell order, the copies matched by :func:`chains.mirror_sites`.
+
+Spectra come from one call, :func:`eigenvalues`, and every check passes below
+:func:`tolerance`: SPECTRAL_TOL times the largest |eigenvalue| tested.  So,
+like the facts above, the verdicts do not change when all couplings are
+rescaled.  Every nonzero |lambda| >= min g (J = B B^T >= diag(g^2)), while a
+null mode computes to about N eps max|lambda|.
 
 The squared nonzero eigenvalues are the eigenvalues of the (k+2)x(k+2)
 Jacobi matrix :func:`chains.jacobi_matrix`.  The nested-radical spectra of the
@@ -27,24 +33,9 @@ from . import chains
 from .chains import ChainSpec, HamiltonianMatrix
 from .errors import NumericalError, StructuralError, ValidationError
 
-# |lambda| < ZERO_TOL_FACTOR * max|lambda| classifies a null eigenvalue.
-ZERO_TOL_FACTOR = 1e-9
-# verify_lemmas: largest deviation that passes, and the bridge coupling it glues with
-LEMMA_TOL = 1e-10
-LEMMA_BRIDGE_V = 1.0
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigen-decomposition of a one-excitation Hamiltonian.
-
-    ``eigenvalues`` ascending; ``eigenvectors[:, j]`` is the j-th orthonormal
-    eigenvector.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    null_multiplicity: int
+#: a spectral check passes when its deviation is below SPECTRAL_TOL times the
+#: largest |eigenvalue| of the spectrum it tests
+SPECTRAL_TOL = 1e-10
 
 
 def _fingerprint(h):
@@ -58,26 +49,25 @@ def _dense(h):
     return np.asarray(h, dtype=float)
 
 
-def _null_count(eigenvalues):
-    scale = float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
-    tol = ZERO_TOL_FACTOR * max(scale, 1.0)
-    return int(np.count_nonzero(np.abs(eigenvalues) < tol))
-
-
-def decompose(h):
-    """Full symmetric eigen-decomposition, eigenvalues ascending."""
+def eigenvalues(h):
+    """Eigenvalues of a symmetric matrix, ascending, by one ``eigvalsh`` call."""
     mat = _dense(h)
     try:
-        lam, vec = np.linalg.eigh(mat)
+        return np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigensolver failed on matrix {_fingerprint(mat)}: {exc}"
         ) from exc
-    return Spectrum(
-        eigenvalues=lam,
-        eigenvectors=vec,
-        null_multiplicity=_null_count(lam),
-    )
+
+
+def tolerance(lam):
+    """Largest deviation that passes a check on the spectrum ``lam``."""
+    return SPECTRAL_TOL * float(np.max(np.abs(lam), initial=0.0))
+
+
+def _null_count(lam):
+    """Number of eigenvalues within :func:`tolerance` of zero."""
+    return int(np.count_nonzero(np.abs(lam) < tolerance(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,41 +158,38 @@ class LemmaReport:
 def verify_lemmas(spec):
     """Check null multiplicity, +/- pairing and (when glueable) the glue laws.
 
-    Deviations below :data:`LEMMA_TOL` pass; glueing uses a bridge coupling of
-    :data:`LEMMA_BRIDGE_V`.
+    Deviations pass below the :func:`tolerance` of the chain's spectrum
+    (pairing) or the glued child's (the rest); the bridge is the chain's
+    largest coupling.  So the chain scaled by 2^j gets the same verdicts and
+    null multiplicity, with every deviation times exactly 2^j.
     """
-    h = chains.build_hamiltonian(spec)
-    spectrum = decompose(h)
-    lam = spectrum.eigenvalues
+    lam = eigenvalues(chains.build_hamiltonian(spec))
     violations = {}
 
-    lemma2 = spectrum.null_multiplicity == spec.k + 1
-    violations["null_multiplicity"] = spectrum.null_multiplicity
+    violations["null_multiplicity"] = null = _null_count(lam)
+    lemma2 = null == spec.k + 1
 
     pair_dev = float(np.max(np.abs(lam + lam[::-1])))
-    lemma3 = pair_dev < LEMMA_TOL
+    lemma3 = pair_dev < tolerance(lam)
     violations["pairing_deviation"] = pair_dev
 
     lemma1 = lemma4 = None
     if spec.n % 2 == 1 and chains.is_mirror_symmetric(spec):
-        result = glue(spec, LEMMA_BRIDGE_V)
+        result = glue(spec, max(spec.t + spec.w + spec.g))
         h_child = chains.build_hamiltonian(result.child).toarray()
-        lam_child = np.linalg.eigvalsh(h_child)
-        ok1, dev1 = match_contained(lam, lam_child, LEMMA_TOL)
+        lam_child = eigenvalues(h_child)
+        tol = tolerance(lam_child)
+        ok1, dev1 = match_contained(lam, lam_child, tol)
         lemma1 = ok1
         violations["containment_deviation"] = dev1
 
         block = result.transform.T @ h_child @ result.transform
-        n = spec.n
-        off = block.copy()
-        off[: n + 1, : n + 1] = 0.0
-        off[n + 1:, n + 1:] = 0.0
-        resid = float(np.max(np.abs(off)))
-        lam_a = np.linalg.eigvalsh(result.block_a)
+        m = spec.n + 1  # the bordered block's size; both off-diagonal blocks are m x (m - 1)
+        resid = float(np.max(np.abs([block[:m, m:], block[m:, :m].T])))
         ok4, dev4 = match_contained(
-            np.concatenate([lam_a, lam]), lam_child, LEMMA_TOL
+            np.concatenate([eigenvalues(result.block_a), lam]), lam_child, tol
         )
-        lemma4 = resid < LEMMA_TOL and ok4
+        lemma4 = resid < tol and ok4
         violations["block_residual"] = resid
         violations["block_eigen_deviation"] = dev4
 
@@ -211,14 +198,14 @@ def verify_lemmas(spec):
     )
 
 
-def spectrum_to_dict(spectrum, tags=None):
-    """JSON payload {eigenvalues, null_multiplicity, tags}.
+def spectrum_to_dict(lam, tags=None):
+    """JSON payload {eigenvalues, null_multiplicity, tags} of ascending ``lam``.
 
     ``tags`` are the exact eigenvalues as strings, one per eigenvalue in the
     same order; none are written when they are not known.
     """
     return {
-        "eigenvalues": [float(x) for x in spectrum.eigenvalues],
-        "null_multiplicity": spectrum.null_multiplicity,
+        "eigenvalues": [float(x) for x in lam],
+        "null_multiplicity": _null_count(lam),
         "tags": list(tags) if tags is not None else [],
     }

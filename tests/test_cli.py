@@ -90,11 +90,20 @@ class TestSpectrumCommand:
         spec_file.write_text(json.dumps({"homogeneous": {"N": 8, "couplng": 2}}))
         assert run(["spectrum", str(spec_file)]) == 2
 
+    def test_lemmas_hold_at_any_coupling_scale(self, workdir):
+        # couplings quoted in, say, Hz: the verdicts depend on ratios only
+        spec_file = workdir / "n11.json"
+        spec_file.write_text(json.dumps({"homogeneous": {"N": 11, "coupling": 1e6}}))
+        out = workdir / "spectrum.json"
+        assert run(["spectrum", str(spec_file), "--verify-lemmas", "--out", str(out)]) == 0
+        lemmas = json.loads(out.read_text())["lemmas"]
+        assert all(lemmas[f"lemma{i}"] is True for i in range(1, 5)), lemmas
+
     def test_internal_error_not_bad_input(self, workdir, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr(spectral, "decompose", broken)
+        monkeypatch.setattr(spectral, "eigenvalues", broken)
         spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
         assert run(["spectrum", spec_file]) == 1
 
@@ -156,6 +165,25 @@ class TestEvolveCommand:
         assert manifest["error"].startswith("NumericalError: probability above 1")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "big.json", "--tmax", "10", "--samples", "100"],
+        ["design", "pgt", "--spec", "big.json", "--epsilon", "0.05", "--tmax", "10"],
+        ["optimize", "--config", "cfg.json"],
+    ],
+)
+def test_overflowing_couplings_rejected(workdir, argv):
+    # 1e200 squared overflows: J cannot be built, which is bad input, not P = nan
+    (workdir / "big.json").write_text(json.dumps({"homogeneous": {"N": 5, "coupling": 1e200}}))
+    (workdir / "cfg.json").write_text(json.dumps(
+        {"scenario": "fixed_w_opt_g", "k": 2, "seed": 1, "budget": 150, "T": 50.0,
+         "fixed_params": {"w": 1e200}}))
+    assert run(argv) == 2
+    manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+    assert manifest["error"].startswith("UnsupportedInputError")
+
+
 class TestDesignCommand:
     def test_pst_json(self, workdir):
         out = workdir / "design.json"
@@ -199,6 +227,19 @@ class TestDesignCommand:
         payload = json.loads(out.read_text())
         assert payload["reached"] is True
         assert payload["t_found"] <= 1000.0
+
+
+    def test_pgt_infidelity_never_negative(self, workdir):
+        # the N = 11 PST chain reaches P = 1 up to roundoff, which could read as 1 + 2e-15
+        spec = design.design_pst_n11(5, 4.345643264767069).chain()
+        spec_file = write_spec(workdir / "pst.json", spec)
+        out = workdir / "pgt.json"
+        code = run(["design", "pgt", "--spec", spec_file, "--epsilon", "1e-3",
+                    "--tmax", "10", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["reached"] is True
+        assert 0.0 <= payload["best_infidelity"] < 1e-12
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -404,6 +445,14 @@ class TestGlueCommand:
         spec_file = write_spec(workdir / "n8.json", chains.homogeneous_chain(8))
         assert run(["glue", spec_file]) == 2
 
+    def test_containment_at_large_couplings(self, workdir, capsys):
+        # the containment tolerance scales with the child's spectrum
+        rng = np.random.default_rng(5)
+        v, g = (1e8 * rng.uniform(0.5, 2.0, size) for size in (3, 2))
+        spec_file = write_spec(workdir / "n11.json", chains.mirror_chain(v.tolist(), g.tolist()))
+        assert run(["glue", spec_file]) == 0
+        assert "parent spectrum contained: True" in capsys.readouterr().out
+
 
 class TestSequencesCommand:
     # first ten rows of the published degree table
@@ -433,6 +482,16 @@ class TestSequencesCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "k,N,sequence,poly"
         assert lines[1] == "1,8,S8,2"
+
+    def test_k_max_above_cap_rejected_up_front(self, workdir, monkeypatch):
+        # no row is computed before the flag is checked
+        def computed(k):
+            raise AssertionError(f"row k={k} computed")
+
+        monkeypatch.setattr(exact, "char_poly_report", computed)
+        assert run(["sequences", "--k-max", str(exact.K_CAP + 1)]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"] == f"ValidationError: k-max must be <= {exact.K_CAP}, got 101"
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_non_positive_k_max_rejected(self, workdir, k_max):

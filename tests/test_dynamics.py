@@ -170,6 +170,11 @@ class TestCosineSeries:
         with pytest.raises(NumericalError, match="probability above 1"):
             dynamics.CosineSeries((0.0,), (1.1,)).trace([0.0])
 
+    def test_nan_series_is_numerical_error(self):
+        # NaN fails every comparison, so only a "P <= 1 + slack" test catches it
+        with pytest.raises(NumericalError, match="probability above 1"):
+            dynamics.CosineSeries((1.0,), (math.nan,)).trace([0.0, 1.0])
+
     def test_inflated_series_is_numerical_error(self, monkeypatch):
         # coefficients scaled by 1.5 push P(pi) of the N = 8 PST chain past 2
         spec = design.design_pst_n8(1, 1.7320508).chain()

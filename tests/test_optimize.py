@@ -349,6 +349,13 @@ class TestSweep:
         results = optimize.sweep([good], 300)
         assert results[0][1] is None
 
+    def test_overflowing_couplings_isolated(self):
+        # w^2 overflows: that problem's J cannot be built, the others still run
+        bad = small_problem(fixed_params={"w": 1e200})
+        results = optimize.sweep([small_problem(), bad], 300, warm_start=False)
+        assert results[0][1] is None
+        assert results[1][0] is None and "overflow" in results[1][1]
+
     def test_internal_error_propagates(self, monkeypatch):
         # only qstc's typed errors are isolated per problem; a bug is not
         def broken(*args, **kwargs):

@@ -1,4 +1,4 @@
-"""Tests for eigendecomposition, glueing and the solvable-sequence spectra."""
+"""Tests for eigenvalues, glueing and the solvable-sequence spectra."""
 
 import math
 
@@ -18,23 +18,12 @@ def random_symmetric_chain(rng, k):
     return chains.mirror_chain(v, g + g[-1:] if k % 2 else g)
 
 
-class TestDecompose:
-    def test_orthonormal_eigenvectors(self):
-        h = chains.build_hamiltonian(chains.homogeneous_chain(14))
-        s = spectral.decompose(h)
-        assert np.allclose(s.eigenvectors.T @ s.eigenvectors, np.eye(14), atol=1e-12)
-
-    def test_reconstruction(self):
-        h = chains.build_hamiltonian(chains.homogeneous_chain(11)).toarray()
-        s = spectral.decompose(h)
-        rebuilt = s.eigenvectors @ np.diag(s.eigenvalues) @ s.eigenvectors.T
-        assert np.allclose(rebuilt, h, atol=1e-12)
-
+class TestEigenvalues:
     def test_null_multiplicity_homogeneous(self):
         for n in (5, 8, 11, 14, 17):
             spec = chains.homogeneous_chain(n)
-            spectrum = spectral.decompose(chains.build_hamiltonian(spec))
-            assert spectrum.null_multiplicity == spec.k + 1
+            lam = spectral.eigenvalues(chains.build_hamiltonian(spec))
+            assert spectral.spectrum_to_dict(lam)["null_multiplicity"] == spec.k + 1
 
 
 class TestJacobiSpectrum:
@@ -173,6 +162,43 @@ class TestVerifyLemmas:
             assert report.lemma1 and report.lemma4
 
 
+class TestScaleEquivariance:
+    """Verdicts depend on coupling ratios only; deviations scale with the couplings."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=8),
+        mirror=st.booleans(),
+        j=st.integers(min_value=-60, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_power_of_two_scaling(self, k, mirror, j, seed):
+        rng = np.random.default_rng(seed)
+        if mirror:
+            spec = random_symmetric_chain(rng, k)
+        else:
+            c = rng.uniform(0.1, 3.0, 3 * k + 4)
+            spec = chains.ChainSpec(n_cells=k + 1, t=c[: k + 1], w=c[k + 1 : 2 * k + 2],
+                                    g=c[2 * k + 2 :])
+        s = 2.0**j
+        scaled = chains.ChainSpec(n_cells=spec.n_cells, t=[s * x for x in spec.t],
+                                  w=[s * x for x in spec.w], g=[s * x for x in spec.g])
+        base, report = spectral.verify_lemmas(spec), spectral.verify_lemmas(scaled)
+        for name in ("lemma1", "lemma2", "lemma3", "lemma4"):
+            assert getattr(report, name) == getattr(base, name)
+        assert report.lemma2 and report.lemma3
+        assert report.violations == {
+            name: value if name == "null_multiplicity" else value * s
+            for name, value in base.violations.items()
+        }
+        payload = spectral.spectrum_to_dict(
+            spectral.eigenvalues(chains.build_hamiltonian(scaled)))
+        expected = spectral.spectrum_to_dict(
+            spectral.eigenvalues(chains.build_hamiltonian(spec)))
+        assert payload["null_multiplicity"] == expected["null_multiplicity"] == spec.k + 1
+        assert payload["eigenvalues"] == [x * s for x in expected["eigenvalues"]]
+
+
 # Every catalogued length N = 2^level (N0+1) - 1 with k <= 50 (N <= 155).
 CATALOGUED = [
     (n0, level)
@@ -217,9 +243,9 @@ class TestSequenceSpectrum:
         assert exact.sequence_tags(-1) is None
 
     def test_to_dict(self):
-        spectrum = spectral.decompose(chains.build_hamiltonian(chains.homogeneous_chain(5)))
-        payload = spectral.spectrum_to_dict(spectrum, exact.sequence_tags(0))
+        lam = spectral.eigenvalues(chains.build_hamiltonian(chains.homogeneous_chain(5)))
+        payload = spectral.spectrum_to_dict(lam, exact.sequence_tags(0))
         assert payload["null_multiplicity"] == 1
         assert len(payload["eigenvalues"]) == 5
         assert payload["tags"] == ["-sqrt(3)", "-1", "0", "1", "sqrt(3)"]
-        assert spectral.spectrum_to_dict(spectrum)["tags"] == []
+        assert spectral.spectrum_to_dict(lam)["tags"] == []
