@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedInputError, ValidationError, check_keys
+from .errors import UnsupportedInputError, ValidationError, check_keys, load_json, read_value
 
 
 def _check_couplings(name, values, expected_len):
@@ -212,54 +212,39 @@ def spec_from_dict(data):
     backbone couplings and ``g`` its first k//2+1 pendant couplings; for odd k
     the middle pendant reuses the last ``g`` entry.  The full form may also carry
     ``"numbering": "cell"``, which older ``glue --out`` files hold; cell order
-    is the only numbering.  Any other key, at either level, raises
-    :class:`ValidationError` naming it.
+    is the only numbering.  Any other key, at either level, or a value of the
+    wrong JSON type (``N``, ``k`` and ``n_cells`` are integers, couplings
+    numbers), raises :class:`ValidationError` naming it.
     """
     if not isinstance(data, dict):
         raise ValidationError("chain spec must be a JSON object")
     if "homogeneous" in data:
         check_keys(data, {"homogeneous"}, "chain spec")
-        body = data["homogeneous"]
-        check_keys(body, {"N", "coupling"}, "homogeneous shorthand")
-        try:
-            return homogeneous_chain(int(body["N"]), float(body.get("coupling", 1.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad homogeneous shorthand: {exc}") from exc
+        body, where = data["homogeneous"], "homogeneous shorthand"
+        check_keys(body, {"N", "coupling"}, where)
+        return homogeneous_chain(read_value(body, "N", int, where),
+                                 read_value(body, "coupling", float, where, 1.0))
     if "symmetric" in data:
         check_keys(data, {"symmetric"}, "chain spec")
-        body = data["symmetric"]
-        check_keys(body, {"k", "v", "g"}, "symmetric chain spec")
-        try:
-            k, v, g = int(body["k"]), body["v"], body["g"]
-            if k < 0:  # named before any v or g entry is converted
-                raise ValidationError(f"k must be >= 0, got {k}")
-            v, g = tuple(float(x) for x in v), tuple(float(x) for x in g)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad symmetric chain spec: {exc}") from exc
+        body, where = data["symmetric"], "symmetric chain spec"
+        check_keys(body, {"k", "v", "g"}, where)
+        k = read_value(body, "k", int, where)
+        if k < 0:
+            raise ValidationError(f"k must be >= 0, got {k}")
+        v, g = read_value(body, "v", [float], where), read_value(body, "g", [float], where)
         _check_couplings("v", v, k + 1)
         _check_couplings("g", g, k // 2 + 1)
         return mirror_chain(v, g + g[-1:] if k % 2 else g)
-    check_keys(data, {"n_cells", "t", "w", "g", "numbering"}, "chain spec")
-    if data.get("numbering", "cell") != "cell":
+    where = "chain spec"
+    check_keys(data, {"n_cells", "t", "w", "g", "numbering"}, where)
+    if read_value(data, "numbering", str, where, "cell") != "cell":
         raise ValidationError(f"unknown numbering {data['numbering']!r}; only 'cell' exists")
-    try:
-        return ChainSpec(
-            n_cells=int(data["n_cells"]),
-            t=data["t"],
-            w=data["w"],
-            g=data["g"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad chain spec: {exc}") from exc
+    return ChainSpec(n_cells=read_value(data, "n_cells", int, where),
+                     **{name: read_value(data, name, [float], where) for name in "twg"})
 
 
 def load_spec(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read chain spec {path}: {exc}") from exc
-    return spec_from_dict(data)
+    return spec_from_dict(load_json(path, "chain spec"))
 
 
 def save_spec(spec, path):

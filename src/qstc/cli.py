@@ -166,16 +166,15 @@ def _cmd_design_pgt(args):
 
 def _cmd_optimize(args):
     from . import optimize as qopt
+    from .errors import load_json, read_value
 
-    config = qopt.load_config(args.config)
+    config = load_json(args.config, "optimize config")
     problems = qopt.problems_from_config(config)
-    budget = qopt.config_field(config, "budget", int, qopt.DEFAULT_BUDGET)
-    seed = qopt.config_field(config, "seed", int)
+    budget = read_value(config, "budget", int, "optimize config", qopt.DEFAULT_BUDGET)
+    warm_start = read_value(config, "warm_start", bool, "optimize config", True)
 
     if "sweep" in config:
-        results = qopt.sweep(
-            problems, budget, warm_start=qopt.config_field(config, "warm_start", bool, True)
-        )
+        results = qopt.sweep(problems, budget, warm_start=warm_start)
         payload = {
             "sweep": [
                 (res.to_dict() if res is not None else {"error": err})
@@ -203,7 +202,7 @@ def _cmd_optimize(args):
     else:
         print(f"best P = {result.best_p:.12g}  (-log10 infidelity {result.neg_log_infidelity:.3g}, "
               f"{result.evaluations} evaluations)")
-    return dict(payload, seed=seed), outputs
+    return dict(payload, seed=problems[0].seed), outputs
 
 
 def _cmd_glue(args):

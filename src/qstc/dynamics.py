@@ -17,14 +17,14 @@ call shape.
 
 :func:`scan_peaks` is the one scan-and-refine peak search, over a stack of
 series: the optimizer's window maxima scan a whole population in one call,
-and :func:`peak_search` and :func:`design.pgt_search` are its one-row callers.
+and :func:`design.pgt_search` is its one-row caller.
 Each member keeps its own uniform grid t_m = m h, sampled from three phasor
 tables (:func:`phasor_amplitude`) in one batched product per chunk, not from
 one cosine per sample and frequency; the certificate allows for the rounding
 of those samples, local maxima are sought only in the sample blocks whose
-largest |a| could matter, all candidates of a chunk are refined by the same
-Newton steps, and every P it reports is a direct evaluation of the series at
-the reported time, capped at 1 by :func:`capped_probability`.  Given the
+largest |a| could matter, each candidate is refined by Newton steps until its
+own step converges, and every P it reports is a direct evaluation of the
+series at the reported time, capped at 1 by :func:`capped_probability`.  Given the
 values to beat (the optimizer passes its parents' fitness), the scan skips
 the members and maxima that cannot reach them.
 
@@ -311,18 +311,19 @@ def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
     allowance eta = 4 eps (1 + f_max t_max) sum |c_j|.  Every local maximum of
     a segment's sampled |a_k| (segment ends count) with |a_s| >= floor - delta
     is a candidate; the floor is the segment's largest |a_s|, capped at
-    ``amplitude_cap``.  All candidates of a chunk get the same Newton steps on
-    a' = 0, each clipped to its neighbouring samples, and keep the better of
-    sample and refined point.
+    ``amplitude_cap``.  Each candidate gets Newton steps on a' = 0, each
+    clipped to its neighbouring samples, up to its own first step of at most
+    1e-8 h_k (or NEWTON_STEPS), and keeps the better of sample and refined
+    point; so a candidate's time and P do not depend on the chunk it is in.
 
     ``beat`` (a number or one per member) skips the work that cannot give
     some P_k >= beat_k: a member with sum |c_j| + eta < sqrt(beat_k) is not
     scanned, a local maximum with |a_s| < sqrt(beat_k) - 2 delta is not a
     candidate, and a chunk with no candidate left gets no Newton steps.  So a
     member whose largest P without ``beat`` is >= beat_k gets that largest P
-    again (to roundoff: the Newton step count is shared within a chunk),
-    and any other member's P are all below beat_k, or it yields none.  Which
-    maximum a member below beat_k yields, or where, is not promised.
+    again, bit for bit, and any other member's P are all below beat_k, or it
+    yields none.  Which maximum a member below beat_k yields, or where, is
+    not promised.
 
     Yields ``(members, times, probs, evaluations)`` per chunk: each
     candidate's row, its time (in time order within a segment), its P from
@@ -359,15 +360,16 @@ def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
         lo = t_max * (np.maximum(index - 1, st[seg]) / span)
         hi = t_max * (np.minimum(index + 1, st[seg] + sz[seg] - 1) / span)
         fr, cfr, cffr, tol = f[rows], cf[rows], cff[rows], 1e-8 * h[rows]
-        t = sample
+        t, active = sample, np.ones(rows.size, dtype=bool)
         for steps in range(1, NEWTON_STEPS + 1):
             # a' = -sum c f sin(f t), a'' = -sum c f^2 cos(f t); the signs cancel
             phase = t[:, None] * fr
             d1 = np.einsum("kj,kj->k", np.sin(phase), cfr)
             d2 = np.einsum("kj,kj->k", np.cos(phase), cffr)
             moved = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0), lo, hi)
-            t, done = moved, np.all(np.abs(moved - t) <= tol)
-            if done:
+            # each candidate stops at its own first step <= tol, whatever its chunk holds
+            t, active = np.where(active, moved, t), active & (np.abs(moved - t) > tol)
+            if not active.any():
                 break
         # the samples' own P comes from the series too, not from the tables
         p = amplitudes(fr, c[rows], t) ** 2
@@ -376,18 +378,3 @@ def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
         yield (rows, np.where(better, t, sample), capped_probability(np.where(better, p, p_sample)),
                int(sz.sum()) + (steps + 1) * rows.size)
 
-
-def peak_search(series, t_max):
-    """(t*, P*) at the global maximum of P over [0, t_max], by :func:`scan_peaks`.
-
-    The one-row caller of the stacked scan; P* is ``series.probability(t*)``
-    capped at 1, bit for bit.
-    """
-    if not 0 < t_max < np.inf:
-        raise ValidationError(f"t_max must be positive and finite, got {t_max}")
-    best_t, best_p = 0.0, -1.0
-    for _, times, probs, _ in scan_peaks([series.frequencies], [series.coefficients], t_max):
-        i = int(np.argmax(probs))
-        if probs[i] > best_p:
-            best_t, best_p = float(times[i]), float(probs[i])
-    return best_t, best_p

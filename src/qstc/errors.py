@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all qstc modules, and the one unknown-key check."""
+"""Exception hierarchy shared by all qstc modules, and the one reader of JSON input."""
+
+import json
 
 
 class QstcError(Exception):
@@ -29,6 +31,15 @@ class UnsupportedInputError(QstcError):
     """Input outside the supported domain (e.g. non-integer couplings)."""
 
 
+def load_json(path, what):
+    """The JSON value in the file at ``path``; an unreadable file is bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, too many digits
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def check_keys(data, allowed, where):
     """Raise :class:`ValidationError` unless ``data`` is a dict whose keys are all allowed.
 
@@ -40,3 +51,43 @@ def check_keys(data, allowed, where):
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ValidationError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
+_REQUIRED = object()
+_KIND_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}
+
+
+def _kind_name(kind):
+    return f"[{_kind_name(kind[0])}]" if isinstance(kind, list) else _KIND_NAMES[kind]
+
+
+def _typed(value, kind):
+    """``value`` as JSON type ``kind`` (a number as a float); TypeError if it is not one."""
+    if isinstance(kind, list):
+        if isinstance(value, list):
+            return [_typed(v, kind[0]) for v in value]
+    # a bool is not a number
+    elif isinstance(value, bool) == (kind is bool) and isinstance(
+            value, (int, float) if kind is float else kind):
+        return float(value) if kind is float else value
+    raise TypeError
+
+
+def read_value(data, key, kind, where, default=_REQUIRED):
+    """``data[key]`` checked against its JSON type ``kind``, or ``default`` when absent.
+
+    ``kind`` is bool, int, float, str or dict, or ``[kind]`` for a list of
+    such values (``[[float]]`` for a list of pairs).  A bool is not a number,
+    and any JSON number reads as a float and is returned as one, so a value
+    is never converted into another.  A missing required key, or a value of
+    another type, raises :class:`ValidationError` naming the key.
+    """
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where} needs {key!r}")
+        return default
+    try:
+        return _typed(data[key], kind)
+    except (TypeError, OverflowError):  # OverflowError: an integer beyond the float range
+        raise ValidationError(f"{where} {key!r} must be of JSON type {_kind_name(kind)}, "
+                              f"got {data[key]!r}") from None

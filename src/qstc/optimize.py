@@ -22,7 +22,6 @@ budgets give bitwise-identical results, so seeded runs stay byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import chains, dynamics
-from .errors import QstcError, ValidationError, check_keys
+from .errors import QstcError, ValidationError, check_keys, read_value
 
 DEFAULT_BOUNDS = (0.05, 4.0)
 DEFAULT_BUDGET = 20000
@@ -46,6 +45,10 @@ class Scenario(str, Enum):
     FIXED_W_OPT_G = "fixed_w_opt_g"
     ALPHA_OPT_TG = "alpha_opt_tg"
     FULL_K_PLUS_4 = "full_k_plus_4"
+
+    @classmethod
+    def _missing_(cls, value):  # an unknown name is bad input
+        raise ValidationError(f"{value!r} is not a valid Scenario")
 
 
 #: the fixed parameter a scenario reads from ``fixed_params``
@@ -64,7 +67,8 @@ def _dimension(scenario, k):
 class OptProblem:
     """One box-bounded coupling-optimization task.
 
-    ``fixed_params`` carries ``w`` (fixed_w_opt_g) or ``alpha`` (alpha_opt_tg).
+    ``fixed_params`` holds exactly ``w`` (fixed_w_opt_g), ``alpha`` (alpha_opt_tg)
+    or nothing (full_k_plus_4).
     ``bounds`` is one (lo, hi) pair per variable; a single pair is broadcast.
     """
 
@@ -80,17 +84,18 @@ class OptProblem:
     def __post_init__(self):
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
+        if self.seed < 0:  # numpy's generator takes no negative seed
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.arrival_time < math.inf:
             raise ValidationError(
                 f"arrival time must be positive and finite, got {self.arrival_time}"
             )
-        try:
-            scenario = Scenario(self.scenario)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        scenario = Scenario(self.scenario)
         object.__setattr__(self, "scenario", scenario)
         dim = _dimension(scenario, self.k)
         bounds = tuple(tuple(map(float, b)) for b in self.bounds)
+        if any(len(b) != 2 for b in bounds):
+            raise ValidationError(f"bounds must be (lo, hi) pairs, got {self.bounds}")
         if len(bounds) == 1:
             bounds = bounds * dim
         if len(bounds) != dim:
@@ -100,12 +105,14 @@ class OptProblem:
                 raise ValidationError(f"bounds must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
         object.__setattr__(self, "bounds", bounds)
         name = FIXED_PARAM.get(scenario)
+        where = f"{scenario.value} fixed_params"
+        check_keys(self.fixed_params, {name} - {None}, where)
         if name is not None:
-            if name not in self.fixed_params:
-                raise ValidationError(f"{scenario.value} needs fixed_params[{name!r}]")
-            if not 0 < self.fixed_params[name] < math.inf:
+            value = read_value(self.fixed_params, name, float, where)
+            if not 0 < value < math.inf:
                 raise ValidationError(f"fixed parameter {name} must be positive and finite, "
-                                      f"got {self.fixed_params[name]}")
+                                      f"got {value}")
+            object.__setattr__(self, "fixed_params", {name: value})
 
     @property
     def dimension(self):
@@ -144,97 +151,51 @@ class OptProblem:
         }
 
 
-_REQUIRED = object()
-
 #: keys an optimize config may carry, at the top level and in its sweep block
 CONFIG_KEYS = {"run", "scenario", "k", "seed", "bounds", "window_max", "T", "T_multiple",
                "fixed_params", "sweep", "budget", "warm_start"}
 SWEEP_KEYS = {"k", "w", "alpha", "T", "T_multiples"}
 
 
-def config_field(config, key, kind, default=_REQUIRED):
-    """``kind(config[key])``, or ``default`` when the key is absent.
-
-    A missing required key or a value that ``kind`` rejects raises
-    :class:`ValidationError`.
-    """
-    if key not in config:
-        if default is _REQUIRED:
-            raise ValidationError(f"optimize config needs {key!r}")
-        return default
-    try:
-        return kind(config[key])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"optimize config {key!r}: {exc}") from exc
-
-
-def _floats(values):
-    return [float(v) for v in values]
-
-
-def _bounds(pairs):
-    return tuple(tuple(float(x) for x in pair) for pair in pairs)
-
-
-def _fixed_params(params):
-    return {name: float(value) for name, value in dict(params).items()}
-
-
-def load_config(path):
-    """Optimize config from a JSON file; an unreadable file is bad input."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read optimize config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ValidationError(f"optimize config {path} is not a JSON object")
-    return config
-
-
 def problems_from_config(config):
     """The :class:`OptProblem` list an optimize config describes, in run order.
 
-    Without a ``sweep`` block the config is one problem at ``T``, or at
-    ``T_multiple`` x N.  A ``sweep`` block expands to one problem per k
+    The top-level keys are the defaults of a one-point sweep, and the
+    ``sweep`` block's lists override them.  It expands to one problem per k
     (``sweep.k``, default the config's ``k``), per value of the scenario's
     fixed parameter (``sweep.w`` for fixed_w_opt_g, ``sweep.alpha`` for
-    alpha_opt_tg, default none) and per arrival time (``T_multiples`` x N and
-    ``T``, ascending); every problem carries the top-level ``fixed_params``
-    with the swept value in place.  A missing, ill-typed or unknown key, or a
-    sweep key the scenario does not read, raises :class:`ValidationError`.
+    alpha_opt_tg, default the one in ``fixed_params``) and per arrival time
+    (``sweep.T_multiples`` x N and ``sweep.T``, ascending; default the
+    config's ``T``, or else ``T_multiple`` x N).  A missing, ill-typed or
+    unknown key, or a sweep key the scenario does not read, raises
+    :class:`ValidationError`.
     """
-    check_keys(config, CONFIG_KEYS, "optimize config")
-    scenario = config_field(config, "scenario", Scenario)
+    where = "optimize config"
+    check_keys(config, CONFIG_KEYS, where)
+    scenario = Scenario(read_value(config, "scenario", str, where))
     common = dict(
         scenario=scenario,
-        seed=config_field(config, "seed", int),
-        bounds=config_field(config, "bounds", _bounds, (DEFAULT_BOUNDS,)),
-        window_max=config_field(config, "window_max", bool, False),
+        seed=read_value(config, "seed", int, where),
+        bounds=read_value(config, "bounds", [[float]], where, (DEFAULT_BOUNDS,)),
+        window_max=read_value(config, "window_max", bool, where, False),
     )
-    fixed = config_field(config, "fixed_params", _fixed_params, {})
-    if "sweep" not in config:
-        k = config_field(config, "k", int)
-        if "T" in config:
-            arrival = config_field(config, "T", float)
-        elif "T_multiple" in config:
-            arrival = config_field(config, "T_multiple", float) * (3 * k + 5)
-        else:
-            raise ValidationError("config needs 'T' or 'T_multiple'")
-        return [OptProblem(k=k, arrival_time=arrival, fixed_params=fixed, **common)]
-
-    sweep_cfg = config_field(config, "sweep", dict)
+    fixed = read_value(config, "fixed_params", dict, where, {})
+    sweep_cfg = read_value(config, "sweep", dict, where, {})
     fixed_name = FIXED_PARAM.get(scenario)
     unread = {"w", "alpha"} - {fixed_name}
-    check_keys(sweep_cfg, SWEEP_KEYS - unread, f"{scenario.value} sweep")
-    k_values = config_field(sweep_cfg, "k", lambda ks: [int(k) for k in ks], None)
+    in_sweep = f"{scenario.value} sweep"
+    check_keys(sweep_cfg, SWEEP_KEYS - unread, in_sweep)
+    k_values = read_value(sweep_cfg, "k", [int], in_sweep, None)
     if k_values is None:
-        k_values = [config_field(config, "k", int)]
-    fixed_values = config_field(sweep_cfg, fixed_name, _floats, [None])
-    multiples = config_field(sweep_cfg, "T_multiples", _floats, [])
-    times = config_field(sweep_cfg, "T", _floats, [])
+        k_values = [read_value(config, "k", int, where)]
+    fixed_values = read_value(sweep_cfg, fixed_name, [float], in_sweep, [None])
+    multiples = read_value(sweep_cfg, "T_multiples", [float], in_sweep, [])
+    times = read_value(sweep_cfg, "T", [float], in_sweep, [])
     if not multiples and not times:
-        raise ValidationError("sweep needs 'T_multiples' or 'T'")
+        if "T" in config:
+            times = [read_value(config, "T", float, where)]
+        else:
+            multiples = [read_value(config, "T_multiple", float, f"{where} without 'T'")]
     problems = []
     for k in k_values:
         t_values = sorted([m * (3 * k + 5) for m in multiples] + times)
@@ -257,14 +218,13 @@ def objective(problem, params, beat=None):
     build every member's J at once; the stack then takes one ``eigh`` call
     (:func:`dynamics.jacobi_series`) and, for window maxima, one
     :func:`dynamics.scan_peaks` call.  A vector gives a float, a stack an
-    array; a stacked value has the same bits as the vector's for fixed T, and
-    agrees with it to roundoff for window maxima.  On both paths every P
+    array; a stacked value has the same bits as the vector's.  Every P
     goes through :func:`dynamics.capped_probability`; couplings whose squares
     overflow are an :class:`UnsupportedInputError` from the J builder.
 
     ``beat`` (a number or one per member, window maxima only) lets the scan
     skip what cannot decide ``value >= beat``: a member whose window maximum
-    is >= beat gets that maximum (to roundoff), and any other member gets a
+    is >= beat gets that maximum, bit for bit, and any other member gets a
     value below beat (-1 when none of its maxima was refined).  So comparing
     the values with ``beat`` picks the same members as without it.
     """
@@ -422,8 +382,8 @@ def sweep_csv_rows(results):
         if res is None:
             continue
         p = res.problem
-        fixed = p.fixed_params.get("w", p.fixed_params.get("alpha", ""))
-        fixed_txt = f"{fixed:.15g}" if fixed != "" else ""
+        name = FIXED_PARAM.get(p.scenario)
+        fixed_txt = f"{p.fixed_params[name]:.15g}" if name else ""
         rows.append(
             f"{p.scenario.value},{p.k},{p.n},{p.arrival_time:.15g},{fixed_txt},"
             f"{res.best_p:.15g},{res.neg_log_infidelity:.15g},{p.seed}"

@@ -24,7 +24,9 @@ homogeneous families that glueing generates live in :mod:`qstc.exact`
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,26 +124,37 @@ def glue(parent, bridge_v):
 
 
 def match_contained(sub, full, tol):
-    """Greedy sorted matching: is every value of ``sub`` present in ``full``?
+    """Is every value of ``sub`` present in ``full``, multiplicities respected?
 
-    Multiplicities are respected; returns the largest unmatched deviation.
+    Returns ``(d <= tol, d)``: d is the smallest deviation at which the
+    order-preserving greedy matches every value (inf when ``full`` is too
+    short), one of the differences |full_j - sub_i|.  The greedy matches
+    whenever any matching within d exists, so d does not depend on ``tol``.
     """
-    sub = np.sort(np.asarray(sub))
-    full = np.sort(np.asarray(full))
-    worst = 0.0
-    j = 0
-    for x in sub:
-        # entries below x - tol cannot match any later (sorted) value either
-        while j < len(full) and full[j] < x - tol:
+    sub, full = (np.sort(np.asarray(v, dtype=float)).tolist() for v in (sub, full))
+    if len(sub) > len(full):
+        return False, math.inf
+    diffs = np.abs(np.subtract.outer(sub, full))
+    # each value needs one within d, so d is at least its distance to the nearest
+    least = float(diffs.min(axis=1).max(initial=0.0))
+
+    def matches(d):  # every comparison is a difference, as in diffs
+        j = 0
+        for x in sub:
+            # values more than d below x cannot match any later (sorted) value either
+            while j < len(full) and x - full[j] > d:
+                j += 1
+            if j == len(full) or full[j] - x > d:
+                return False
             j += 1
-        if j >= len(full):
-            return False, np.inf
-        d = abs(full[j] - x)
-        worst = max(worst, d)
-        if d > tol:
-            return False, worst
-        j += 1
-    return True, worst
+        return True
+
+    if matches(least):
+        return bool(least <= tol), least
+    # else the smallest larger difference that matches, by binary search
+    above = sorted(set(diffs[diffs > least].tolist()))
+    d = above[bisect.bisect_left(above, True, key=matches)]
+    return bool(d <= tol), d
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ reference for the stacked ``chains.jacobi_matrix``.  ``problem_chain`` builds
 the ``ChainSpec`` of one optimizer parameter vector, float by float, the
 reference for the stacked ``optimize.OptProblem.couplings``.
 
+``peak_search`` is the one-row caller of ``dynamics.scan_peaks``: the (t*, P*)
+of one series, against which the optimizer's stacked window maxima are
+compared.
+
 ``factor_degrees`` factors an integer polynomial with sympy's general
 ``factor_list``, the reference for the product-identity certificate of
 ``exact.char_poly_report``; ``write_trace_csv`` is the per-row writer that
@@ -220,3 +224,20 @@ def dimerized_series(w, g):
     return dynamics.CosineSeries(
         tuple(freqs[i] for i in order), tuple(coeffs[i] for i in order)
     )
+
+
+def peak_search(series, t_max):
+    """(t*, P*) at the global maximum of P over [0, t_max], by ``dynamics.scan_peaks``.
+
+    The one-row caller of the stacked scan; P* is ``series.probability(t*)``
+    capped at 1, bit for bit.
+    """
+    if not 0 < t_max < math.inf:
+        raise ValidationError(f"t_max must be positive and finite, got {t_max}")
+    best_t, best_p = 0.0, -1.0
+    scan = dynamics.scan_peaks([series.frequencies], [series.coefficients], t_max)
+    for _, times, probs, _ in scan:
+        i = int(np.argmax(probs))
+        if probs[i] > best_p:
+            best_t, best_p = float(times[i]), float(probs[i])
+    return best_t, best_p

@@ -199,6 +199,24 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=unknown):
             chains.spec_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"homogeneous": {"N": 11.9}}, "'N'"),
+            ({"homogeneous": {"N": "11"}}, "'N'"),
+            ({"homogeneous": {"N": 11, "coupling": True}}, "'coupling'"),
+            ({"symmetric": {"k": 1.5, "v": [1, 2], "g": [1]}}, "'k'"),
+            ({"n_cells": 1.9, "t": [1], "w": [1], "g": [1, 1]}, "'n_cells'"),
+            ({"n_cells": 1, "t": "1", "w": [1], "g": [1, 1]}, "'t'"),
+            ({"n_cells": 1, "t": [1], "w": [1], "g": [1, 1], "numbering": 0}, "'numbering'"),
+        ],
+    )
+    def test_mistyped_value_rejected(self, data, key):
+        # a value is read as it is written: 11.9 is not rounded to 11, nor
+        # "1" read character by character
+        with pytest.raises(ValidationError, match=key):
+            chains.spec_from_dict(data)
+
     def test_numbering_key_accepted(self):
         data = dict(chains.spec_to_dict(chains.homogeneous_chain(8)), numbering="cell")
         assert chains.spec_from_dict(data) == chains.homogeneous_chain(8)

@@ -412,6 +412,28 @@ class TestOptimizeCommand:
         manifest = json.loads((workdir / "qstc-manifest.json").read_text())
         assert manifest["error"].startswith("ValidationError") and key in manifest["error"]
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"window_max": "false"}, "'window_max'"),
+            ({"k": 2.9}, "'k'"),
+            ({"seed": 1.7}, "'seed'"),
+            ({"budget": 150.9}, "'budget'"),
+            ({"warm_start": "no"}, "'warm_start'"),
+            ({"bounds": [[0.1, 0.2, 0.3]]}, "bounds"),
+            ({"scenario": "alpha_opt_tg", "fixed_params": {"alpha": 2, "w": 0.5}}, "'w'"),
+            ({"scenario": "full_k_plus_4", "k": 0, "budget": 600, "fixed_params": {"w": 0.5}},
+             "'w'"),
+        ],
+    )
+    def test_mistyped_value_rejected(self, workdir, overrides, key):
+        # each value is read as it is written, never converted into another
+        # experiment's (an unpacking crash, for the bounds triple)
+        cfg = self.config(workdir / "cfg.json", **overrides)
+        assert run(["optimize", "--config", cfg]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("ValidationError") and key in manifest["error"]
+
     def test_runs_without_scipy(self, workdir):
         cfg = self.config(workdir / "cfg.json", budget=150, window_max=True)
         spec_file = write_spec(workdir / "n11.json", chains.homogeneous_chain(11))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dimerized_chain, dimerized_series, probability_closed_form_pst
+from oracles import dimerized_chain, dimerized_series, peak_search, probability_closed_form_pst
 from qstc import chains, design, dynamics
 from qstc.errors import InfeasibleDesignError, ValidationError
 
@@ -218,7 +218,7 @@ class TestPgtSearch:
         result = design.pgt_search(series, 1e-3, 110.0)
         assert not result.reached
         assert result.best_infidelity == pytest.approx(
-            1.0 - dynamics.peak_search(series, 110.0)[1], abs=1e-12
+            1.0 - peak_search(series, 110.0)[1], abs=1e-12
         )
 
     def test_constant_series(self):

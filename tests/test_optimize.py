@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import problem_chain
+from oracles import peak_search, problem_chain
 from qstc import chains, design, dynamics, optimize
-from qstc.errors import NumericalError, ValidationError
+from qstc.errors import NumericalError, ValidationError, load_json
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -47,6 +47,11 @@ class TestOptProblem:
     def test_missing_fixed_param_rejected(self):
         with pytest.raises(ValidationError):
             small_problem(fixed_params={})
+
+    def test_negative_seed_rejected(self):
+        # bad input (exit 2), not a ValueError from numpy's generator
+        with pytest.raises(ValidationError, match="seed"):
+            small_problem(seed=-1)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValidationError, match="nope"):
@@ -173,11 +178,10 @@ class TestStackedObjective:
         for x, value in zip(pop, stacked):
             spec = problem_chain(problem, x)
             if window_max:
-                row = dynamics.peak_search(dynamics.chain_series(spec), arrival_time)[1]
-                assert value == pytest.approx(row, abs=1e-12)
+                row = peak_search(dynamics.chain_series(spec), arrival_time)[1]
             else:
                 row = dynamics.transfer_probability(spec, [arrival_time]).probability[0]
-                assert value == row == optimize.objective(problem, x)
+            assert value == row == optimize.objective(problem, x)
 
     @pytest.mark.parametrize("scenario", list(optimize.Scenario))
     def test_scan_chunk_does_not_change_window_maxima(self, monkeypatch, scenario):
@@ -186,7 +190,7 @@ class TestStackedObjective:
         whole = optimize.objective(problem, pop)
         for chunk in (7, 64, 1000):
             monkeypatch.setattr(dynamics, "SCAN_CHUNK", chunk)
-            assert np.max(np.abs(optimize.objective(problem, pop) - whole)) <= 1e-12
+            assert np.array_equal(optimize.objective(problem, pop), whole)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -196,6 +200,9 @@ class TestStackedObjective:
         size=st.integers(min_value=1, max_value=30),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
+    # a member's Newton steps once depended on the other candidates of its chunk
+    @example(scenario=optimize.Scenario.FIXED_W_OPT_G, k=3, arrival_time=32.5546875, size=3,
+             seed=14075851)
     def test_beat_keeps_every_value_that_reaches_it(self, scenario, k, arrival_time, size, seed):
         problem = random_problem(scenario, k, arrival_time, True)
         pop = random_population(problem, size, seed)
@@ -208,7 +215,7 @@ class TestStackedObjective:
         beat[tie] = values[tie]
         beaten = optimize.objective(problem, pop, beat=beat)
         reach = values >= beat
-        assert np.all(np.abs(beaten - values)[reach] <= 1e-15)
+        assert np.array_equal(beaten[reach], values[reach])
         assert np.all(beaten[~reach] < beat[~reach])
 
     def test_one_dimensional_vector_gives_a_float(self):
@@ -401,7 +408,7 @@ class TestProblemsFromConfig:
         [("fig3", 36, "w"), ("fig4", 28, "alpha"), ("fig5", 3, None)],
     )
     def test_recipes(self, name, count, fixed_name):
-        config = optimize.load_config(RECIPES / f"{name}.json")
+        config = load_json(RECIPES / f"{name}.json", "optimize config")
         problems = optimize.problems_from_config(config)
         assert len(problems) == count
         sweep = config["sweep"]
@@ -423,6 +430,52 @@ class TestProblemsFromConfig:
         assert problem.arrival_time == 16.0
         assert problem.bounds == ((0.1, 3.0), (0.1, 3.0))
         assert not problem.window_max
+
+    @pytest.mark.parametrize(
+        "sweep, times",
+        [({"w": [0.5, 0.8]}, [50.0, 50.0]), ({"T_multiples": [], "T": []}, [50.0]),
+         ({"T": [20.0]}, [20.0])],
+    )
+    def test_sweep_without_times_uses_top_level_time(self, sweep, times):
+        # the top-level keys are the defaults of a one-point sweep
+        config = {"scenario": "fixed_w_opt_g", "k": 2, "seed": 1, "T": 50.0, "T_multiple": 3,
+                  "fixed_params": {"w": 0.8}, "sweep": sweep}
+        assert [p.arrival_time for p in optimize.problems_from_config(config)] == times
+        del config["T"]
+        problems = optimize.problems_from_config(config)
+        assert [p.arrival_time for p in problems] == [33.0 if t == 50.0 else t for t in times]
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"window_max": "false"}, "'window_max'"),
+            ({"window_max": 1}, "'window_max'"),
+            ({"k": 2.9}, "'k'"),
+            ({"k": True}, "'k'"),
+            ({"seed": 1.7}, "'seed'"),
+            ({"T": "50"}, "'T'"),
+            ({"bounds": [[0.1, 0.2, 0.3]]}, "bounds"),
+            ({"bounds": [0.1, 3.0]}, "'bounds'"),
+            ({"fixed_params": {"w": 0.8, "alpha": 2.0}}, "'alpha'"),
+            ({"fixed_params": {"w": True}}, "'w'"),
+            ({"sweep": {"k": [2.5], "T": [10]}}, "'k'"),
+            ({"sweep": {"w": [0.5, "0.8"], "T": [10]}}, "'w'"),
+        ],
+    )
+    def test_mistyped_value_rejected(self, overrides, key):
+        config = {"scenario": "fixed_w_opt_g", "k": 2, "seed": 1, "T": 50.0,
+                  "fixed_params": {"w": 0.8}, **overrides}
+        with pytest.raises(ValidationError, match=key):
+            optimize.problems_from_config(config)
+
+    def test_fixed_params_hold_exactly_the_scenario_parameter(self):
+        with pytest.raises(ValidationError, match="'w'"):
+            small_problem(scenario=optimize.Scenario.FULL_K_PLUS_4, fixed_params={"w": 0.5})
+        problem = small_problem(scenario=optimize.Scenario.ALPHA_OPT_TG,
+                                fixed_params={"alpha": 2})
+        assert problem.fixed_params == {"alpha": 2.0}
+        rows = optimize.sweep_csv_rows(optimize.sweep([problem], 300))
+        assert rows[1].startswith("alpha_opt_tg,2,11,50,2,")
 
     @pytest.mark.parametrize(
         "overrides",
@@ -470,8 +523,8 @@ class TestProblemsFromConfig:
 
     def test_unreadable_config_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            optimize.load_config(tmp_path / "missing.json")
+            load_json(tmp_path / "missing.json", "optimize config")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps([1, 2]))
-        with pytest.raises(ValidationError):
-            optimize.load_config(bad)
+        with pytest.raises(ValidationError, match="JSON object"):
+            optimize.problems_from_config(load_json(bad, "optimize config"))

@@ -1,5 +1,6 @@
 """Tests for eigenvalues, glueing and the solvable-sequence spectra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -136,6 +137,29 @@ class TestMatchContained:
         ok, worst = spectral.match_contained([1.0], [1.0 + 5e-11, 2.0], tol=1e-10)
         assert ok
         assert math.isclose(worst, 5e-11, rel_tol=1e-3)
+
+    def test_deviation_does_not_depend_on_tol(self):
+        # the greedy at tol = 1e-10 would take 1 - 5e-11, the first value in reach
+        for tol in (1e-10, 1e-12, 0.0):
+            assert spectral.match_contained([1.0], [1 - 5e-11, 1.0, 2.0], tol) == (True, 0.0)
+        low = 1 - 5e-11
+        assert spectral.match_contained([1.0, 1.0], [low, 1.0, 2.0], 1e-12) == (False, 1.0 - low)
+        assert spectral.match_contained([1.0, 2.0], [1.0], 1.0) == (False, math.inf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sub=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+        extra=st.lists(st.integers(-20, 20), max_size=4),
+        noise=st.integers(0, 2**32 - 1),
+    )
+    def test_smallest_deviation_of_any_matching(self, sub, extra, noise):
+        # brute force over every injective assignment of sub to full
+        rng = np.random.default_rng(noise)
+        full = [x + rng.uniform(-1e-3, 1e-3) for x in sub + extra]
+        best = min(max(abs(full[j] - x) for x, j in zip(sub, perm))
+                   for perm in itertools.permutations(range(len(full)), len(sub)))
+        ok, d = spectral.match_contained(sub, full, 0.0)
+        assert d == best and ok == (best == 0.0)
 
 
 class TestVerifyLemmas:
