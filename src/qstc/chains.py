@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,8 @@ def homogeneous_chain(n, coupling=1.0):
     if n < 5 or n % 3 != 2:
         raise ValidationError(f"homogeneous chain length must be 2 mod 3 and >= 5, got {n}")
     n_cells = (n - 2) // 3
+    if n_cells > sys.maxsize:  # no sequence that long exists
+        raise ValidationError(f"homogeneous chain length {n} has more cells than an index holds")
     c = float(coupling)
     return ChainSpec(
         n_cells=n_cells,

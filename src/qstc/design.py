@@ -211,8 +211,9 @@ def pgt_search(series, epsilon, t_max):
     """Earliest refined peak with 1 - P(t) < epsilon on a cosine series.
 
     The one-row caller of :func:`dynamics.scan_peaks` with amplitude cap
-    sqrt(1 - epsilon), stopped at the first chunk with a hit; otherwise the
-    best peak seen is kept.  Its P are capped at 1, so no infidelity is negative.
+    sqrt(1 - epsilon).  That scan samples and refines one chunk at a time, so
+    stopping at the first chunk with a hit leaves the rest of [0, t_max]
+    unsampled; otherwise the best peak seen is kept.  Its P are capped at 1, so no infidelity is negative.
     """
     if not 0 < epsilon < 1:
         raise ValidationError(f"epsilon must be in (0,1), got {epsilon}")

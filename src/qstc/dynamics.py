@@ -15,16 +15,21 @@ of Jacobi matrices into (m, n) frequency and coefficient arrays with one
 frequencies go through ``einsum``, so P(t) has the same bits whatever the
 call shape.
 
-:func:`scan_peaks` is the one scan-and-refine peak search, over a stack of
-series: the optimizer's window maxima scan a whole population in one call,
-and :func:`design.pgt_search` is its one-row caller.
-Each member keeps its own uniform grid t_m = m h, sampled from three phasor
+:func:`scan_candidates` and :func:`refine_peaks` are the one scan-and-refine
+peak search, over a stack of series, in two steps: sampling, chunk by chunk,
+and Newton refinement of any batch of the candidates found.  The optimizer's
+window maxima scan a whole population and refine every chunk's candidates in
+one batch; :func:`scan_peaks` refines chunk by chunk, so that
+:func:`design.pgt_search`, its one-row caller, stops at its first hit.
+Each member keeps its own uniform grid t_m = m h, sampled from two phasor
 tables (:func:`phasor_amplitude`) in one batched product per chunk, not from
-one cosine per sample and frequency; the certificate allows for the rounding
-of those samples, local maxima are sought only in the sample blocks whose
-largest |a| could matter, each candidate is refined by Newton steps until its
-own step converges, and every P it reports is a direct evaluation of the
-series at the reported time, capped at 1 by :func:`capped_probability`.  Given the
+one cosine per sample and frequency; the table entries are products of a
+few phasors taken directly at power-of-two multiples of f h, and the
+certificate allows for the rounding of those samples.  Local maxima are
+sought only in the sample blocks whose largest |a| could matter, each
+candidate is refined by Newton steps until its own step converges, whatever
+batch it is in, and every P reported is a direct evaluation of the series
+at the reported time, capped at 1 by :func:`capped_probability`.  Given the
 values to beat (the optimizer passes its parents' fitness), the scan skips
 the members and maxima that cannot reach them.
 
@@ -47,8 +52,8 @@ PROB_SLACK = 1e-9
 SCAN_CHUNK = 65536
 #: most Newton steps spent refining one candidate peak
 NEWTON_STEPS = 8
-#: width B of the inner phasor table that samples a scan chunk (about the
-#: square root of a typical scan's sample count)
+#: width B of the inner phasor table that samples a scan chunk: a power of two,
+#: about the square root of a typical scan's sample count
 PHASOR_BLOCK = 32
 #: rows of a trace written by one format string in :meth:`TransferTrace.to_csv`
 CSV_BLOCK = 4096
@@ -211,36 +216,55 @@ def _phasor(angle):
     return out
 
 
+def _powers(first, p, count):
+    """``first`` z^e for e = 0, ..., count - 1 along a new first axis, from p[j] = z^(2^j).
+
+    Entry e is ``first`` times the p[j] over the set bits j of e, so it
+    carries the rounding of at most bit_length(count - 1) direct phasors; a
+    recurrence z^e = z z^(e - 1) would carry e of them.
+    """
+    out = np.empty((count,) + p.shape[1:], dtype=complex)
+    out[0] = first
+    filled = 1
+    for z in p:
+        n = min(filled, count - filled)
+        np.multiply(out[:n], z, out=out[filled:filled + n])
+        filled += n
+    return out
+
+
 def phasor_amplitude(frequencies, coefficients, h, start, size):
     """Samples a_k(m h_k), m = start_k, ..., start_k + size_k - 1, of a stack.
 
     Row k of the (S, n_freq) stacks gets its own step h_k, start and size.
-    With m = start_k + B r + b and r = B a + q (B = PHASOR_BLOCK,
-    0 <= b, q < B), a_k(m h_k) = Re sum_j O_kjr exp(i f_kj h_k b), where the
-    outer entry O_kjr = c_kj exp(i f_kj h_k start_k) exp(i f_kj h_k B^2 a)
-    exp(i f_kj h_k B q) is a product of three phasor tables, so it costs no
-    cosine or sine of its own.  The real parts of a row are one real
-    (B x 2 n_freq) @ (2 n_freq x rows) product on float views of the complex
-    tables, batched over the rows: row k costs (2 B + rows / B + 1) n_freq
-    cosines and sines, not one cosine per sample and frequency.  A sample is
-    within a few eps (1 + f_max m h) sum |c_j| of the direct cosine sum, which
-    is itself only that close to the exact amplitude.  Returns an
-    (S, B, rows) array, rows = ceil(max size / B), whose entry [k, b, r] is
-    sample start_k + B r + b, so a block of B consecutive samples is a column;
-    row k's samples are its first size_k in that order.
+    With m = start_k + B r + b (B = PHASOR_BLOCK, 0 <= b < B),
+    a_k(m h_k) = Re sum_j O_kjr exp(i f_kj h_k b), where the outer entry
+    O_kjr = c_kj exp(i f_kj h_k start_k) exp(i f_kj h_k B r).  Both tables are
+    :func:`_powers` of phasors taken directly at the angles f h 2^e, exact
+    multiples of the rounded f h, so an entry is a product of at most log2 B
+    (inner) or log2 rows + 1 (outer) direct phasors and costs no cosine or
+    sine of its own.  The real parts of a row are one real (B x 2 n_freq) @
+    (2 n_freq x rows) product on float views of the complex tables, batched
+    over the rows: row k costs about (log2 B + log2 rows + 1) n_freq cosines
+    and sines, not one cosine per sample and frequency.  A sample's phases are
+    off by the rounding of f h times m, as a direct cosine's are by the
+    rounding of its time, plus the rounding of the few phasors and products
+    it is made of, so it is within a few eps (1 + f_max m h) sum |c_j| of the
+    direct cosine sum, which is itself only that close to the exact
+    amplitude.  Returns an (S, B, rows) array, rows = ceil(max size / B),
+    whose entry [k, b, r] is sample start_k + B r + b, so a block of B
+    consecutive samples is a column; row k's samples are its first size_k in
+    that order.
     """
-    f = np.asarray(frequencies, dtype=float)
-    fh = f * np.asarray(h, dtype=float)[:, None]
+    fh = np.asarray(frequencies, dtype=float) * np.asarray(h, dtype=float)[:, None]
     rows = -(-int(np.max(size)) // PHASOR_BLOCK)
-    tops = -(-rows // PHASOR_BLOCK)
-    b = np.arange(PHASOR_BLOCK)[:, None]
+    bits = (PHASOR_BLOCK - 1).bit_length()
+    direct = _phasor(2.0 ** np.arange(bits + (rows - 1).bit_length())[:, None, None] * fh)
     base = np.asarray(coefficients, dtype=float) * _phasor(fh * np.asarray(start)[:, None])
-    top = _phasor(fh[:, None] * (PHASOR_BLOCK**2 * np.arange(tops)[:, None]))
-    mid = _phasor(fh[:, None] * (PHASOR_BLOCK * b))
-    outer = (base[:, None, None] * top[:, :, None] * mid[:, None]).reshape(len(f), -1, f.shape[1])
+    outer = _powers(base, direct[bits:], rows)
     # exp(-i f h b), so that Re(O exp(i f h b)) is a real dot product
-    inner = _phasor(-fh[:, None] * b)
-    return inner.view(float) @ outer[:, :rows].view(float).transpose(0, 2, 1)
+    inner = _powers(1.0, np.conj(direct[:bits]), PHASOR_BLOCK)
+    return inner.transpose(1, 0, 2).view(float) @ outer.view(float).transpose(1, 2, 0)
 
 
 def _chunks(sizes):
@@ -261,7 +285,7 @@ def _chunks(sizes):
 
 
 def _candidates(f, c, h, delta, start, size, amplitude_cap, least):
-    """(segment, position) of every sample of a chunk that :func:`scan_peaks` refines.
+    """(segment, position) of every candidate sample of a chunk, for :func:`scan_candidates`.
 
     Each PHASOR_BLOCK-sample block's largest |a_s| comes first; local maxima
     are sought only inside the blocks that reach the segment's level.  The
@@ -294,8 +318,8 @@ def _candidates(f, c, h, delta, start, size, amplitude_cap, least):
     return seg[which], block[which] * PHASOR_BLOCK + offset
 
 
-def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
-    """Forward scan-and-refine of P_k(t) = a_k(t)^2 over [0, t_max] for a stack.
+def scan_candidates(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
+    """Sampling half of the forward scan of P_k(t) = a_k(t)^2 over [0, t_max].
 
     Row k of the (m, n_freq) ``frequencies`` and ``coefficients`` is one
     series.  It is scanned on its own :func:`scan_size` grid t = i h_k, cut into
@@ -311,35 +335,27 @@ def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
     allowance eta = 4 eps (1 + f_max t_max) sum |c_j|.  Every local maximum of
     a segment's sampled |a_k| (segment ends count) with |a_s| >= floor - delta
     is a candidate; the floor is the segment's largest |a_s|, capped at
-    ``amplitude_cap``.  Each candidate gets Newton steps on a' = 0, each
-    clipped to its neighbouring samples, up to its own first step of at most
-    1e-8 h_k (or NEWTON_STEPS), and keeps the better of sample and refined
-    point; so a candidate's time and P do not depend on the chunk it is in.
+    ``amplitude_cap``.
 
     ``beat`` (a number or one per member) skips the work that cannot give
     some P_k >= beat_k: a member with sum |c_j| + eta < sqrt(beat_k) is not
-    scanned, a local maximum with |a_s| < sqrt(beat_k) - 2 delta is not a
-    candidate, and a chunk with no candidate left gets no Newton steps.  So a
-    member whose largest P without ``beat`` is >= beat_k gets that largest P
-    again, bit for bit, and any other member's P are all below beat_k, or it
-    yields none.  Which maximum a member below beat_k yields, or where, is
-    not promised.
+    scanned, and a local maximum with |a_s| < sqrt(beat_k) - 2 delta is not a
+    candidate.
 
-    Yields ``(members, times, probs, evaluations)`` per chunk: each
-    candidate's row, its time (in time order within a segment), its P from
-    :func:`amplitudes` at that time (so ``series.probability(t)`` capped at 1,
-    bit for bit), and the samples plus refinement evaluations made.
+    Yields ``(candidates, samples)`` per chunk: the arrays ``(members, times,
+    lo, hi, tol)`` of :func:`refine_peaks` (each candidate's row, its sample
+    time, in time order within a segment, the neighbouring sample times, or
+    its own at a segment end, and 1e-8 h_k), and the samples the chunk took.
+    Candidates of any chunks, concatenated, are again candidates.
     """
     f = np.asarray(frequencies, dtype=float)
     c = np.asarray(coefficients, dtype=float)
-    cf = c * f
-    cff = cf * f
     f_max = f.max(axis=1, initial=0.0)
     n = scan_size(f_max, t_max)
     h = t_max / (n - 1)
     ceiling = np.abs(c).sum(axis=1)
     eta = 4 * np.finfo(float).eps * (1 + f_max * t_max) * ceiling
-    delta = np.einsum("kj,kj->k", np.abs(cf), f) * h * h / 8 + eta
+    delta = np.einsum("kj,kj->k", np.abs(c * f), f) * h * h / 8 + eta
     per = -(-(n - 1) // SCAN_CHUNK)
     least = np.full(len(f), -np.inf)
     if beat is not None:
@@ -353,28 +369,68 @@ def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
         k, st, sz = member[first:last], start[first:last], size[first:last]
         seg, pos = _candidates(f[k], c[k], h[k], delta[k], st, sz, amplitude_cap, least[k])
         rows, index, span = k[seg], st[seg] + pos, n[k[seg]] - 1
-        sample = t_max * (index / span)
-        if rows.size == 0:
-            yield rows, sample, sample, int(sz.sum())
-            continue
         lo = t_max * (np.maximum(index - 1, st[seg]) / span)
         hi = t_max * (np.minimum(index + 1, st[seg] + sz[seg] - 1) / span)
-        fr, cfr, cffr, tol = f[rows], cf[rows], cff[rows], 1e-8 * h[rows]
-        t, active = sample, np.ones(rows.size, dtype=bool)
-        for steps in range(1, NEWTON_STEPS + 1):
-            # a' = -sum c f sin(f t), a'' = -sum c f^2 cos(f t); the signs cancel
-            phase = t[:, None] * fr
-            d1 = np.einsum("kj,kj->k", np.sin(phase), cfr)
-            d2 = np.einsum("kj,kj->k", np.cos(phase), cffr)
-            moved = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0), lo, hi)
-            # each candidate stops at its own first step <= tol, whatever its chunk holds
-            t, active = np.where(active, moved, t), active & (np.abs(moved - t) > tol)
-            if not active.any():
-                break
-        # the samples' own P comes from the series too, not from the tables
-        p = amplitudes(fr, c[rows], t) ** 2
-        p_sample = amplitudes(fr, c[rows], sample) ** 2
-        better = p > p_sample
-        yield (rows, np.where(better, t, sample), capped_probability(np.where(better, p, p_sample)),
-               int(sz.sum()) + (steps + 1) * rows.size)
+        yield (rows, t_max * (index / span), lo, hi, 1e-8 * h[rows]), int(sz.sum())
 
+
+def refine_peaks(frequencies, coefficients, candidates):
+    """Refinement half of the scan: Newton steps on a' = 0 for any batch of candidates.
+
+    ``candidates`` are the arrays ``(members, times, lo, hi, tol)`` of
+    :func:`scan_candidates`, from one chunk or several concatenated; row
+    ``members[i]`` of the stacks is candidate i's series.  Each candidate
+    gets Newton steps, each clipped to [lo, hi], up to its own first step of
+    at most ``tol`` (or NEWTON_STEPS), and keeps the better of sample and
+    refined point.  Every step is taken row by row, so a candidate's time and
+    P do not depend on the batch it is in.
+
+    Returns ``(times, probs, evaluations)``: each candidate's time, its P from
+    :func:`amplitudes` at that time (so ``series.probability(t)`` capped at 1,
+    bit for bit), and the evaluations the refinement made.
+    """
+    members, sample, lo, hi, tol = candidates
+    f = np.asarray(frequencies, dtype=float)[members]
+    c = np.asarray(coefficients, dtype=float)[members]
+    cf = c * f
+    cff = cf * f
+    t, active = sample, np.ones(members.size, dtype=bool)
+    for steps in range(1, NEWTON_STEPS + 1):
+        # a' = -sum c f sin(f t), a'' = -sum c f^2 cos(f t); the signs cancel
+        phase = t[:, None] * f
+        d1 = np.einsum("kj,kj->k", np.sin(phase), cf)
+        d2 = np.einsum("kj,kj->k", np.cos(phase), cff)
+        moved = np.clip(t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0), lo, hi)
+        # each candidate stops at its own first step <= tol, whatever its batch holds
+        t, active = np.where(active, moved, t), active & (np.abs(moved - t) > tol)
+        if not active.any():
+            break
+    # the samples' own P comes from the series too, not from the tables
+    p = amplitudes(f, c, t) ** 2
+    p_sample = amplitudes(f, c, sample) ** 2
+    better = p > p_sample
+    return (np.where(better, t, sample), capped_probability(np.where(better, p, p_sample)),
+            (steps + 1) * members.size)
+
+
+def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
+    """Forward scan-and-refine of P_k(t) = a_k(t)^2 over [0, t_max], chunk by chunk.
+
+    :func:`scan_candidates` samples a chunk, :func:`refine_peaks` refines its
+    candidates, and the chunk's peaks are yielded before the next chunk is
+    sampled, so a caller can stop at the first chunk that satisfies it.
+
+    With ``beat``, a member whose largest P without ``beat`` is >= beat_k gets
+    that largest P again, bit for bit, and any other member's P are all below
+    beat_k, or it yields none.  Which maximum a member below beat_k yields, or
+    where, is not promised.
+
+    Yields ``(members, times, probs, evaluations)`` per chunk: each
+    candidate's row, time and P from :func:`refine_peaks`, and the samples
+    plus refinement evaluations made.
+    """
+    f = np.asarray(frequencies, dtype=float)
+    c = np.asarray(coefficients, dtype=float)
+    for candidates, samples in scan_candidates(f, c, t_max, amplitude_cap, beat):
+        times, probs, evaluations = refine_peaks(f, c, candidates)
+        yield candidates[0], times, probs, samples + evaluations

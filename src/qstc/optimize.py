@@ -15,9 +15,13 @@ generator and deferred updates (Storn & Price, J. Global Optim. 11, 341
 (1997)): each generation takes every member's draws in member order, builds
 all trials against the generation's frozen population in one stacked
 expression, evaluates them as one stack through :func:`objective` (one
-coupling-array stack, one J stack, one ``eigh`` call), and then keeps each
-trial that is at least as good as its parent.  Identical problems and
-budgets give bitwise-identical results, so seeded runs stay byte-identical.
+coupling-array stack, one J stack, one ``eigh`` call, and for window maxima
+one scan with one Newton batch), and then keeps each trial that is at least
+as good as its parent.  A trial equal to its parent is not evaluated: it has
+its parent's P.  Once the population is one point, every later mutant is
+that point, so the run stops and fills in the remaining generations.  The
+evaluation count still counts every trial.  Identical problems and budgets
+give bitwise-identical results, so seeded runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -217,7 +221,8 @@ def objective(problem, params, beat=None):
     :meth:`OptProblem.couplings` and one :func:`chains.jacobi_matrix` call
     build every member's J at once; the stack then takes one ``eigh`` call
     (:func:`dynamics.jacobi_series`) and, for window maxima, one
-    :func:`dynamics.scan_peaks` call.  A vector gives a float, a stack an
+    :func:`dynamics.scan_candidates` scan whose candidates, from every chunk,
+    take one :func:`dynamics.refine_peaks` batch.  A vector gives a float, a stack an
     array; a stacked value has the same bits as the vector's.  Every P
     goes through :func:`dynamics.capped_probability`; couplings whose squares
     overflow are an :class:`UnsupportedInputError` from the J builder.
@@ -245,8 +250,11 @@ def objective(problem, params, beat=None):
     arrival = problem.arrival_time
     if problem.window_max:
         probs = np.full(len(stack), -1.0)
-        for members, _, peaks, _ in dynamics.scan_peaks(freqs, coeffs, arrival, beat=beat):
-            np.maximum.at(probs, members, peaks)
+        scan = [found for found, _ in dynamics.scan_candidates(freqs, coeffs, arrival, beat=beat)]
+        if scan:  # every chunk's candidates, refined in one Newton batch
+            candidates = tuple(map(np.concatenate, zip(*scan)))
+            _, peaks, _ = dynamics.refine_peaks(freqs, coeffs, candidates)
+            np.maximum.at(probs, candidates[0], peaks)
     else:
         probs = dynamics.capped_probability(
             dynamics.amplitudes(freqs, coeffs, np.full(len(stack), arrival)) ** 2
@@ -287,11 +295,21 @@ class OptResult:
 def optimize(problem, budget, warm_start=None):
     """Differential-evolution search within the problem's box bounds.
 
+    Each generation draws a trial per member and passes the trials that
+    differ from their parents to :func:`objective` as one stack, with the
+    parents' P as values to beat; a trial equal to its parent takes the
+    parent's P, which :func:`objective` would return for it bit for bit.
+    When every member is the same point, every later trial is that point too,
+    so the loop ends there and the remaining generations add their trials to
+    ``evaluations`` and repeat the best P in ``trajectory``, as running them
+    would.
+
     Parameters
     ----------
     problem : OptProblem
     budget : int
-        Maximum objective evaluations; must cover at least ten generations.
+        Maximum number of trials, evaluated or not (``OptResult.evaluations``
+        counts every one); must cover at least ten generations.
     warm_start : array_like, optional
         Parameter vector injected into the initial population (clipped to
         bounds); used by :func:`sweep` to chain runs over arrival times.
@@ -316,6 +334,12 @@ def optimize(problem, budget, warm_start=None):
     r = np.empty((pop_size, 3), dtype=int)
     mask = np.empty((pop_size, dim), dtype=bool)
     while evaluations + pop_size <= budget:
+        if (pop == pop[0]).all():
+            # every later mutant is this one point, so every trial equals its parent
+            left = (budget - evaluations) // pop_size
+            evaluations += left * pop_size
+            trajectory += trajectory[-1:] * left
+            break
         for i in range(pop_size):  # member by member, so the draws keep their order
             r[i] = rng.choice(pop_size - 1, size=3, replace=False)
             mask[i] = rng.random(dim) < CROSSOVER
@@ -323,7 +347,11 @@ def optimize(problem, budget, warm_start=None):
         r += r >= np.arange(pop_size)[:, None]  # skip the member itself
         mutant = pop[r[:, 0]] + DIFFERENTIAL_WEIGHT * (pop[r[:, 1]] - pop[r[:, 2]])
         trials = np.where(mask, np.clip(mutant, lo, hi), pop)
-        f_trial = objective(problem, trials, beat=fitness)
+        # a trial equal to its parent has its parent's P
+        f_trial = fitness.copy()
+        new = (trials != pop).any(axis=1)
+        if new.any():
+            f_trial[new] = objective(problem, trials[new], beat=fitness[new])
         evaluations += pop_size
         better = f_trial >= fitness
         pop[better] = trials[better]

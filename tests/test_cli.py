@@ -90,6 +90,12 @@ class TestSpectrumCommand:
         spec_file.write_text(json.dumps({"homogeneous": {"N": 8, "couplng": 2}}))
         assert run(["spectrum", str(spec_file)]) == 2
 
+    def test_cell_count_beyond_an_index_rejected(self, workdir):
+        # exited 1 with OverflowError from the coupling tuples
+        spec_file = workdir / "huge.json"
+        spec_file.write_text('{"homogeneous": {"N": 1000000000000000000000000000001}}')
+        assert run(["spectrum", str(spec_file)]) == 2
+
     def test_lemmas_hold_at_any_coupling_scale(self, workdir):
         # couplings quoted in, say, Hz: the verdicts depend on ratios only
         spec_file = workdir / "n11.json"

@@ -213,6 +213,14 @@ class TestPgtSearch:
         assert chunked.t_found == pytest.approx(whole.t_found, rel=1e-12)
         assert chunked.best_infidelity == pytest.approx(whole.best_infidelity, abs=1e-15)
 
+    def test_stops_at_the_first_chunk_with_a_hit(self):
+        # the hit is in the fifth of 17 chunks; the scan budget and time are pinned bit for bit
+        series = dynamics.chain_series(chains.homogeneous_chain(11))
+        result = design.pgt_search(series, 1e-3, 2e5)
+        assert result.scan_budget == 327848
+        assert result.t_found == 57978.07911681928
+        assert result.scan_budget < dynamics.scan_size(max(series.frequencies), 2e5) / 3
+
     def test_best_seen_without_hit(self):
         series = dynamics.chain_series(dimerized_chain(0.8, 2.0))
         result = design.pgt_search(series, 1e-3, 110.0)

@@ -378,12 +378,13 @@ class TestPhasorSamples:
     @given(
         n_cells=st.integers(min_value=1, max_value=7),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        t_max=st.floats(min_value=0.5, max_value=2e5),
+        t_max=st.floats(min_value=0.01, max_value=2e5),
         where=st.floats(min_value=0.0, max_value=1.0),
         size=st.integers(min_value=1, max_value=dynamics.SCAN_CHUNK + 1),
     )
     def test_match_direct_cosines_random_chain(self, n_cells, seed, t_max, where, size):
-        # up to a full segment of SCAN_CHUNK steps, where the outer tables are longest
+        # up to a full segment of SCAN_CHUNK steps, where the outer tables are longest,
+        # and windows short enough that the rounding unit is about eps sum |c_j|
         spec = random_non_mirror_chain(n_cells, seed)
         assume(not chains.is_mirror_symmetric(spec))
         series = dynamics.chain_series(spec)

@@ -228,13 +228,16 @@ class TestStackedObjective:
 
 
 def deferred_de_reference(problem, budget, objective):
-    """rand/1/bin with deferred updates, one objective call per trial."""
+    """rand/1/bin with deferred updates, one objective call per trial.
+
+    Also returns, per generation, the stack of trials that differ from their parents.
+    """
     dim, pop_size = problem.dimension, optimize.POPULATION_FACTOR * problem.dimension
     rng = np.random.default_rng(problem.seed)
     lo, hi = np.array(problem.bounds).T
     pop = rng.uniform(lo, hi, size=(pop_size, dim))
     fitness = np.array([objective(problem, x) for x in pop])
-    trajectory, evaluations = [fitness.max()], pop_size
+    trajectory, evaluations, changed = [fitness.max()], pop_size, []
     while evaluations + pop_size <= budget:
         frozen, trials = pop.copy(), []
         for i in range(pop_size):
@@ -251,47 +254,109 @@ def deferred_de_reference(problem, budget, objective):
                 pop[i], fitness[i] = trial, f_trial
         evaluations += pop_size
         trajectory.append(max(trajectory[-1], fitness.max()))
-    return pop[np.argmax(fitness)], fitness.max(), evaluations, trajectory
+        changed.append(np.array([t for t, x in zip(trials, frozen) if np.any(t != x)]))
+    return pop[np.argmax(fitness)], fitness.max(), evaluations, trajectory, changed
+
+
+#: a fig3 point whose population collapses to one point long before its budget of 6000
+COLLAPSING = dict(scenario=optimize.Scenario.FIXED_W_OPT_G, k=2, fixed_params={"w": 0.6},
+                  arrival_time=55.0, seed=7)
 
 
 class TestOptimize:
     def test_one_objective_call_per_generation(self, monkeypatch):
-        p = small_problem(scenario=optimize.Scenario.ALPHA_OPT_TG, fixed_params={"alpha": 2.0})
-        shapes = []
+        # at most one call per generation, on exactly the trials that differ from their
+        # parents; the second problem's population collapses to one point
+        stacks = []
         objective = optimize.objective
 
         def recording(problem, params, beat=None):
-            shapes.append(np.shape(params))
+            stacks.append(np.array(params))
             return objective(problem, params, beat)
 
         monkeypatch.setattr(optimize, "objective", recording)
-        res = optimize.optimize(p, 400)
-        pop_size = optimize.POPULATION_FACTOR * p.dimension
-        generations = (400 - pop_size) // pop_size
-        assert shapes == [(pop_size, p.dimension)] * (generations + 1)
-        assert res.evaluations == pop_size * (generations + 1)
-        assert len(res.trajectory) == generations + 1
+        for overrides, budget in (
+            (dict(scenario=optimize.Scenario.ALPHA_OPT_TG, fixed_params={"alpha": 2.0}), 400),
+            (COLLAPSING, 6000),
+        ):
+            p = small_problem(**overrides)
+            stacks.clear()
+            res = optimize.optimize(p, budget)
+            changed = deferred_de_reference(p, budget, objective)[-1]
+            pop_size = optimize.POPULATION_FACTOR * p.dimension
+            generations = (budget - pop_size) // pop_size
+            assert len(stacks) <= generations + 1
+            assert stacks[0].shape == (pop_size, p.dimension)
+            expected = [trials for trials in changed if trials.size]
+            assert len(stacks[1:]) == len(expected)
+            for stack, trials in zip(stacks[1:], expected):
+                assert np.array_equal(stack, trials)
+            assert res.evaluations == pop_size * (generations + 1)
+            assert len(res.trajectory) == generations + 1
 
-    @pytest.mark.parametrize("scenario, k, budget, arrival_time", [
-        (optimize.Scenario.FIXED_W_OPT_G, 2, 300, 50.0),
-        (optimize.Scenario.ALPHA_OPT_TG, 3, 600, 30.0),
-        (optimize.Scenario.FULL_K_PLUS_4, 1, 1050, 30.0),
+    def test_one_point_population_ends_the_draws(self, monkeypatch):
+        # every trial of a one-point population is that point, so no generation after the
+        # collapse draws: a larger budget only adds trials and trajectory entries
+        draws = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                draws.append(name)
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        counts, results = [], []
+        for budget in (6000, 20000):
+            draws.clear()
+            results.append(optimize.optimize(small_problem(**COLLAPSING), budget))
+            counts.append(len(draws))
+        pop_size = optimize.POPULATION_FACTOR
+        assert counts[0] == counts[1] < 3 * pop_size * (6000 // pop_size)
+        short, long = results
+        assert long.evaluations == 19995
+        assert long.trajectory[:len(short.trajectory)] == short.trajectory
+        assert set(long.trajectory[len(short.trajectory) - 1:]) == {short.best_p}
+        assert long.best_params == short.best_params
+
+    @pytest.mark.parametrize("overrides, budget, collapses", [
+        pytest.param(dict(scenario=optimize.Scenario.FIXED_W_OPT_G, k=2, fixed_params={"w": 0.8},
+                          arrival_time=50.0), 300, False, id="fixed_w_opt_g-2-300-50.0"),
+        pytest.param(dict(scenario=optimize.Scenario.ALPHA_OPT_TG, k=3,
+                          fixed_params={"alpha": 2.0}, arrival_time=30.0), 600, False,
+                     id="alpha_opt_tg-3-600-30.0"),
+        pytest.param(dict(scenario=optimize.Scenario.FULL_K_PLUS_4, k=1, fixed_params={},
+                          arrival_time=30.0), 1050, False, id="full_k_plus_4-1-1050-30.0"),
+        pytest.param(COLLAPSING, 6000, True, id="fixed_w_opt_g-2-6000-55.0-collapsing"),
+        pytest.param(dict(COLLAPSING, window_max=True), 6000, True,
+                     id="fixed_w_opt_g-2-6000-55.0-window-collapsing"),
     ])
-    def test_matches_deferred_reference(self, scenario, k, budget, arrival_time):
-        # fixed T: a stacked value has the bits of the one-vector value, so the
-        # stacked generation must reproduce the one-trial-at-a-time loop exactly
-        fixed = {optimize.Scenario.FIXED_W_OPT_G: {"w": 0.8},
-                 optimize.Scenario.ALPHA_OPT_TG: {"alpha": 2.0}}.get(scenario, {})
-        p = small_problem(scenario=scenario, k=k, fixed_params=fixed, arrival_time=arrival_time)
+    def test_matches_deferred_reference(self, monkeypatch, overrides, budget, collapses):
+        # a stacked value has the bits of the one-vector value, at fixed T and for window
+        # maxima, so the stacked generation must reproduce the one-trial-at-a-time loop
+        # exactly; a trial equal to its parent, and every trial of a one-point population,
+        # keeps its parent's P without reaching the objective
+        p = small_problem(**overrides)
+        objective = optimize.objective
+        rows = []
+
+        def counting(problem, params, beat=None):
+            rows.append(len(params))
+            return objective(problem, params, beat)
+
+        monkeypatch.setattr(optimize, "objective", counting)
         res = optimize.optimize(p, budget)
         assert len(set(res.trajectory)) > 1  # some trial is kept, so the kept trials are compared
-        best, best_p, evaluations, trajectory = deferred_de_reference(
-            p, budget, optimize.objective
-        )
+        best, best_p, evaluations, trajectory, _ = deferred_de_reference(p, budget, objective)
         assert res.best_params == tuple(best)
         assert res.best_p == best_p
         assert res.evaluations == evaluations
         assert list(res.trajectory) == trajectory
+        # 2331 (fixed T) and 3321 (window maxima) of the 6000 trials reach it when collapsing
+        assert sum(rows) < res.evaluations if collapses else sum(rows) <= res.evaluations
 
     @pytest.mark.parametrize("scenario, k, budget", [
         (optimize.Scenario.FIXED_W_OPT_G, 2, 300),
