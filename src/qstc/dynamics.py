@@ -35,10 +35,18 @@ the members and maxima that cannot reach them.
 
 The averaged transmission fidelity is f = 1/2 + sqrt(P)/3 + P/6 with the
 controllable phase set to its optimal value.
+
+:meth:`TransferTrace.to_csv` writes a trace as exactly the ``'%.15g'`` text
+of each value.  numpy computes the 15 digits of every value in ``%g``'s
+fixed-notation range 1e-4 <= v < 1e15, from Dekker's exact product of v and
+a power of ten (Dekker, Numer. Math. 18, 224 (1971)); Python's own ``%``
+formats the rest (zero, negatives, smaller and larger values, inf, nan) and
+the rare values within 1e-6 of a rounding tie.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +63,10 @@ NEWTON_STEPS = 8
 #: width B of the inner phasor table that samples a scan chunk: a power of two,
 #: about the square root of a typical scan's sample count
 PHASOR_BLOCK = 32
-#: rows of a trace written by one format string in :meth:`TransferTrace.to_csv`
-CSV_BLOCK = 4096
+#: rows of a trace whose text :meth:`TransferTrace.to_csv` builds at once; with
+#: 40 bytes per value, each working array of a block stays near 120 KB, small
+#: enough to be reused from the heap rather than mapped afresh for every block
+CSV_BLOCK = 1024
 
 
 def capped_probability(p):
@@ -93,15 +103,129 @@ class TransferTrace:
     def to_csv(self, path):
         """Write the trace as CSV with header t,P,f at 15 significant digits.
 
-        Rows go out CSV_BLOCK at a time, each block formatted by one
-        ``%``-string, so the text of at most one block is held in memory.
+        Every value's text is exactly ``'%.15g' % v``, built by
+        :func:`_csv_text` CSV_BLOCK rows at a time, so the text of at most
+        one block is held in memory.
         """
         columns = (self.times, self.probability, self.fidelity)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,P,f\n")
             for start in range(0, len(self.times), CSV_BLOCK):
-                block = np.column_stack([c[start:start + CSV_BLOCK] for c in columns])
-                fh.write("%.15g,%.15g,%.15g\n" * len(block) % tuple(block.ravel().tolist()))
+                fh.write(_csv_text(np.column_stack([c[start:start + CSV_BLOCK] for c in columns])))
+
+
+def _split(x):
+    """Dekker's split of x into a high part of 26 bits and the rest."""
+    big = 134217729.0 * x  # 2^27 + 1
+    high = big - (big - x)
+    return high, x - high
+
+
+#: 10^k for k = 0, ..., 18 (exact doubles) and their Dekker split
+_TEN = 10.0 ** np.arange(19)
+_TEN_HIGH, _TEN_LOW = _split(_TEN)
+#: bytes of a value's field in :func:`_csv_text`: 3 spaces, "0.000", then the
+#: 16 digits of 4 groups each followed by '.', the last '.' being the separator
+_FIELD = 40
+#: text code of a value Python formats is _PYTHON_CODE + its length
+_PYTHON_CODE = 19 * 15
+
+
+@functools.cache
+def _text_tables():
+    """The tables of :func:`_csv_text`, built on first use.
+
+    Returns each 4-digit group g (leading zeros kept) as the 8 bytes
+    "d.d.d.d." in one uint64, each group's trailing zero digits (4 for 0000),
+    and which field bytes a value's text keeps, one row per text code.  Code
+    15 (x + 4) + last is fixed notation with decimal exponent x
+    (-4 <= x <= 14) whose last significant digit is digit ``last`` of 15;
+    code _PYTHON_CODE + length is a value formatted by Python, left-justified.
+    A process that writes no trace never builds them.
+    """
+    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    text = np.insert(digits, [1, 2, 3, 4], ord("."), axis=1).view(np.uint64).ravel()
+    zeros = np.cumprod(digits[:, ::-1] == ord("0"), axis=1).sum(axis=1)
+    keep = np.zeros((_PYTHON_CODE + 23, _FIELD), dtype=bool)
+    keep[:, -1] = True
+    for x in range(-4, 15):
+        for last in range(15):
+            row = keep[15 * (x + 4) + last]
+            row[10:11 + 2 * max(last, x):2] = True  # digits, the first group's lead zero skipped
+            if x < 0:
+                row[3:4 - x] = True  # "0." and -x - 1 zeros
+            elif last > x:
+                row[11 + 2 * x] = True  # the '.' after digit x
+    for length in range(23):
+        keep[_PYTHON_CODE + length, :length] = True
+    return text, zeros, keep
+
+
+def _scaled(v, exp):
+    """v 10^(14 - exp) = p + err exactly (Dekker's product), for 10^(14 - exp) <= 10^18."""
+    k = 14 - exp
+    high, low = _split(v)
+    ten_high, ten_low = _TEN_HIGH[k], _TEN_LOW[k]
+    p = v * _TEN[k]
+    return p, ((high * ten_high - p) + high * ten_low + low * ten_high) + low * ten_low
+
+
+def _csv_text(block):
+    """CSV text of a 2-d float block: each value as ``'%.15g' % v``, a newline after each row.
+
+    A value v with 1e-4 <= v < 1e15 is in ``%g``'s fixed notation at
+    precision 15, and its digits are computed with numpy: with
+    e = floor(log10 v), v 10^(14 - e) = p + err exactly, rounded half to even
+    to the 15-digit integer n (e is corrected when log10 lands a decade off,
+    and n = 10^15 moves to the next decade).  n's digits come from a table
+    of 4-digit groups, and each value's text, its '.' placed, trailing zeros
+    and a bare '.' dropped, is picked out of a fixed 40-byte field.  Every
+    other value goes through Python's own ``'%.15g'``: 0, -0.0, negatives,
+    v < 1e-4, v >= 1e15 (or rounding to 10^15), inf, nan, and any v whose
+    exact v 10^(14 - e) lies within 1e-6 of a rounding tie.
+    """
+    group_text, group_zeros, keep = _text_tables()
+    v = block.ravel()
+    fast = (v >= 1e-4) & (v < 1e15)
+    x = np.where(fast, v, 1.0)
+    exp = np.clip(np.floor(np.log10(x)), -4, 14).astype(np.intp)
+    p, err = _scaled(x, exp)
+    # p + err against 10^14 and 10^15 with exact signs: p - 10^k is exact when
+    # p is near 10^k, and then larger than |err| unless it is 0
+    low = (p - 1e14) + err < 0
+    high = (p - 1e15) + err >= 0
+    off = low | high
+    if off.any():  # log10 landed a decade off
+        exp = exp - low + high
+        p[off], err[off] = _scaled(x[off], exp[off])
+    whole = np.floor(p)
+    frac = (p - whole) + err
+    up = np.rint(frac)
+    tie = np.abs(np.abs(frac - up) - 0.5) <= 1e-6
+    n = (whole + up).astype(np.intp)
+    carry = n == 10**15
+    n[carry] = 10**14
+    exp += carry
+    upper, lower = np.divmod(n, 10**8)
+    groups = np.divmod(upper, 10**4) + np.divmod(lower, 10**4)
+    g0, g1, g2, g3 = groups
+    trailing = group_zeros[g3] + (g3 == 0) * (
+        group_zeros[g2] + (g2 == 0) * (group_zeros[g1] + (g1 == 0) * group_zeros[g0]))
+    code = 15 * exp + 74 - trailing  # 15 (exp + 4) + the last significant digit
+    words = np.empty((v.size, _FIELD // 8), dtype=np.uint64)
+    words[:, 0] = np.frombuffer(b"   0.000", dtype=np.uint64)
+    words[:, 1:] = group_text[np.stack(groups, axis=1)]
+    field = words.view(np.uint8)
+    separator = np.full(block.shape, ord(","), dtype=np.uint8)
+    separator[:, -1] = ord("\n")
+    field[:, -1] = separator.ravel()
+    slow = np.flatnonzero(~fast | tie | (exp > 14))
+    if slow.size:  # '%.15g' text is at most 22 characters, as in -1.23456789012345e-308
+        text = ("%-22.15g" * slow.size % tuple(v[slow].tolist())).encode("ascii")
+        padded = np.frombuffer(text, dtype=np.uint8).reshape(-1, 22)
+        field[slow, :22] = padded
+        code[slow] = _PYTHON_CODE + np.count_nonzero(padded != ord(" "), axis=1)
+    return np.compress(np.take(keep, code, axis=0).ravel(), field.ravel()).tobytes().decode("ascii")
 
 
 def transfer_probability(spec, times):
@@ -195,9 +319,19 @@ def amplitudes(frequencies, coefficients, times):
     ``frequencies`` and ``coefficients`` are (m, n_freq) stacks, row k for
     time k, or one series' (n_freq,) values for every time.  Each sum is taken
     by ``einsum`` in one fixed order, so a value has the same bits whatever the
-    call shape (BLAS dot and gemv round differently).
+    call shape (BLAS dot and gemv round differently).  At most
+    SCAN_CHUNK // n_freq times go into one ``einsum``, which bounds the
+    memory of a long trace.
     """
-    return np.einsum("...j,...j->...", np.cos(times[:, None] * frequencies), coefficients)
+    f = np.asarray(frequencies, dtype=float)
+    c = np.asarray(coefficients, dtype=float)
+    out = np.empty(len(times))
+    step = max(SCAN_CHUNK // max(f.shape[-1], 1), 1)
+    for start in range(0, len(times), step):
+        rows = slice(start, start + step)
+        fk, ck = (f[rows], c[rows]) if f.ndim == 2 else (f, c)
+        out[rows] = np.einsum("...j,...j->...", np.cos(times[rows, None] * fk), ck)
+    return out
 
 
 def scan_size(f_max, t_max):
@@ -295,11 +429,17 @@ def _candidates(f, c, h, delta, start, size, amplitude_cap, least):
     amp = phasor_amplitude(f, c, h, start, size)
     np.abs(amp, out=amp)
     rows = amp.shape[2]
-    first = int(size.min()) // PHASOR_BLOCK  # the first block that can hold padding
-    tail = amp[:, :, first:]
-    tail[PHASOR_BLOCK * np.arange(first, rows) + np.arange(PHASOR_BLOCK)[:, None]
-         >= size[:, None, None]] = -np.inf
+    # padding: the rest of each segment's last block, the sample after that
+    # block (a neighbour of its last sample) and the maxima of later blocks;
+    # no other padded sample is read
+    k, last = np.arange(size.size), (size - 1) // PHASOR_BLOCK
+    edge = amp[k, :, last]
+    edge[np.arange(PHASOR_BLOCK) >= (size - PHASOR_BLOCK * last)[:, None]] = -np.inf
+    amp[k, :, last] = edge
+    inside = last + 1 < rows
+    amp[k[inside], 0, last[inside] + 1] = -np.inf
     peak = amp.max(axis=1)
+    peak[np.arange(rows) > last[:, None]] = -np.inf
     floor = peak.max(axis=1)
     if amplitude_cap is not None:
         floor = np.minimum(amplitude_cap, floor)

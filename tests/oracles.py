@@ -22,7 +22,9 @@ reference for the stacked ``optimize.OptProblem.couplings``.
 
 ``peak_search`` is the one-row caller of ``dynamics.scan_peaks``: the (t*, P*)
 of one series, against which the optimizer's stacked window maxima are
-compared.
+compared.  ``candidates_full_mask`` finds a scan chunk's candidate samples
+with every padded sample masked, the reference for ``dynamics._candidates``,
+which masks only the padding it reads.
 
 ``factor_degrees`` factors an integer polynomial with sympy's general
 ``factor_list``, the reference for the product-identity certificate of
@@ -109,6 +111,35 @@ def factor_degrees(p):
     y = sy.symbols("y")
     factors = sy.factor_list(sy.Poly(list(reversed(p)), y, domain="ZZ"))[1]
     return tuple(sorted(f.degree() for f, mult in factors for _ in range(mult)))
+
+
+def candidates_full_mask(f, c, h, delta, start, size, amplitude_cap, least):
+    """(segment, position) of every candidate sample of a scan chunk.
+
+    The arguments are those of ``dynamics._candidates``.  Every sample past a
+    segment's size is set to -inf before any sample is read.
+    """
+    block = dynamics.PHASOR_BLOCK
+    amp = np.abs(dynamics.phasor_amplitude(f, c, h, start, size))
+    rows = amp.shape[2]
+    index = block * np.arange(rows) + np.arange(block)[:, None]
+    amp[index >= size[:, None, None]] = -np.inf
+    peak = amp.max(axis=1)
+    floor = peak.max(axis=1)
+    if amplitude_cap is not None:
+        floor = np.minimum(amplitude_cap, floor)
+    level = np.maximum(floor - delta, least)
+    segments, positions = [], []
+    for k in range(len(size)):
+        samples = amp[k].T.reshape(-1)[:size[k]]
+        for i in np.flatnonzero(peak[k] >= level[k]):
+            for j in range(block * i, min(block * (i + 1), size[k])):
+                left = samples[j - 1] if j > 0 else -np.inf
+                right = samples[j + 1] if j + 1 < size[k] else -np.inf
+                if samples[j] >= level[k] and samples[j] >= left and samples[j] >= right:
+                    segments.append(k)
+                    positions.append(j)
+    return np.array(segments, dtype=int), np.array(positions, dtype=int)
 
 
 def write_trace_csv(trace, path):

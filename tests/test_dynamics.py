@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import dimerized_chain, peak_search, write_trace_csv
+from oracles import candidates_full_mask, dimerized_chain, peak_search, write_trace_csv
 from qstc import chains, design, dynamics
 from qstc.errors import NumericalError, ValidationError
 
@@ -146,6 +146,47 @@ class TestTransferProbability:
             with pytest.raises(ValueError):
                 column[0] = 0.5
         assert times.flags.writeable  # the caller's grid is not frozen
+
+
+def near_power_of_ten():
+    """10^p moved by up to 64 ulps, p across and beyond the fixed-notation range."""
+    return st.builds(lambda p, k: float(10.0**p + k * np.spacing(10.0**p)),
+                     st.integers(min_value=-6, max_value=17), st.integers(min_value=-64, max_value=64))
+
+
+def near_rounding_tie():
+    """Doubles within a few ulps of a tie between two 15-digit decimals, 1e-4 <= v < 1e15."""
+    return st.builds(lambda n, e, k: float(f"{n}5e{e}") + k * np.spacing(float(f"{n}5e{e}")),
+                     st.integers(min_value=10**14, max_value=10**15 - 1),
+                     st.integers(min_value=-19, max_value=-1), st.integers(min_value=-1, max_value=1))
+
+
+def bit_patterns():
+    """Any float64 bit pattern: subnormals, negatives, huge values, nan payloads."""
+    return st.integers(min_value=0, max_value=2**64 - 1).map(
+        lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+
+
+class TestCsvText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | bit_patterns() | near_power_of_ten() | near_rounding_tie()
+                    # rounds up to 10^15, so it leaves fixed notation
+                    | st.floats(min_value=999999999999999.0, max_value=1e15),
+                    min_size=1, max_size=40))
+    def test_one_column_block_is_percent_g(self, values):
+        block = np.array(values, dtype=float)[:, None]
+        assert dynamics._csv_text(block) == "".join("%.15g\n" % v for v in values)
+
+    def test_many_values_per_block(self):
+        # each decade of the fixed-notation range and beyond it, with the
+        # block's separators: ',' between columns, a newline after each row
+        rng = np.random.default_rng(11)
+        values = np.concatenate([10 ** rng.uniform(-6, 17, 30000), rng.random(30000),
+                                 np.round(rng.random(30000) * 1e6) / 1e6,
+                                 rng.integers(10**14, 10**15, 30000) + 0.5])
+        block = values.reshape(-1, 4)
+        want = "".join("%.15g,%.15g,%.15g,%.15g\n" % tuple(row) for row in block.tolist())
+        assert dynamics._csv_text(block) == want
 
 
 class TestCosineSeries:
@@ -345,6 +386,35 @@ class TestPeakSearch:
         assert sum(e for _, _, _, e in chunked) >= n + len(chunked) - 1
 
 
+class TestCandidates:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=5 * dynamics.PHASOR_BLOCK + 3),
+                       min_size=1, max_size=6),
+        n_freq=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        capped=st.booleans(),
+        beat=st.booleans(),
+    )
+    def test_match_full_padding_mask(self, sizes, n_freq, seed, capped, beat):
+        # segments of a chunk with any sizes: masking only the padding that is
+        # read gives the candidates of masking every padded sample
+        rng = np.random.default_rng(seed)
+        m = len(sizes)
+        f = rng.uniform(0.1, 3.0, (m, n_freq))
+        c = rng.normal(size=(m, n_freq))
+        h = np.pi / (8 * f.max(axis=1)) * rng.uniform(0.2, 1.0, m)
+        delta = rng.uniform(0.0, 0.5, m) * np.abs(c).sum(axis=1)
+        start = rng.integers(0, 5000, m)
+        size = np.array(sizes)
+        cap = float(rng.uniform(0.1, 1.5)) if capped else None
+        least = rng.uniform(-0.5, 1.0, m) if beat else np.full(m, -np.inf)
+        args = (f, c, h, delta, start, size, cap, least)
+        got = dynamics._candidates(*args)
+        want = candidates_full_mask(*args)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 class TestCallShape:
     @pytest.mark.parametrize("n_freq", [2, 3, 5, 8, 13, 20])
     def test_amplitude_bits_do_not_depend_on_call_shape(self, n_freq):
@@ -361,6 +431,20 @@ class TestCallShape:
         stacked = dynamics.amplitudes(f, c, times)
         for other in (one_at_a_time, split, stacked):
             assert np.array_equal(batched, other)
+        # longer than one einsum block of SCAN_CHUNK // n_freq times: the same
+        # bits as one einsum over all of them, and as any split
+        step = dynamics.SCAN_CHUNK // n_freq
+        long = rng.uniform(0.0, 1e4, 2 * step + 7)
+        whole = np.einsum("...j,...j->...", np.cos(long[:, None] * np.asarray(series.frequencies)),
+                          np.asarray(series.coefficients))
+        blocked = series.amplitude(long)
+        assert np.array_equal(blocked, whole)
+        cut = step // 3
+        assert np.array_equal(blocked, np.concatenate((series.amplitude(long[:cut]),
+                                                       series.amplitude(long[cut:]))))
+        f = np.tile(series.frequencies, (long.size, 1))
+        c = np.tile(series.coefficients, (long.size, 1))
+        assert np.array_equal(dynamics.amplitudes(f, c, long), whole)
 
     def test_stacked_eigh_matches_one_matrix_at_a_time(self):
         rng = np.random.default_rng(3)
