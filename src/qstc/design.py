@@ -8,8 +8,9 @@ so the corner-to-corner probability is exactly 1 at odd multiples of pi.
 For uniform dimerized (t_i=1, w_i=w, g_i=g) N=11 chains the g-independent
 envelope P_up = (w(1+w^2)/(1+w^4))^2 caps the achievable transfer.
 
-Pretty-good-transfer search runs the peak search of :func:`dynamics.scan_peaks`
-forward for the earliest peak whose infidelity drops below a target.
+Pretty-good-transfer search runs the scan-and-refine peak search of
+:mod:`dynamics` forward, chunk by chunk, for the earliest peak whose
+infidelity drops below a target.
 """
 
 from __future__ import annotations
@@ -168,6 +169,7 @@ def dimerized_upper_bound(w):
     """Envelope of the dimerized N=11 transfer probability over time and g."""
     if not 0 < w < math.inf:
         raise ValidationError(f"dimerization parameter w must be positive and finite, got {w}")
+    w = min(w, 1 / w)  # P_up(w) = P_up(1/w), and w**4 overflows for w above about 1e77
     return (w * (1 + w * w) / (1 + w**4)) ** 2
 
 
@@ -210,21 +212,24 @@ class PgtSearchResult:
 def pgt_search(series, epsilon, t_max):
     """Earliest refined peak with 1 - P(t) < epsilon on a cosine series.
 
-    The one-row caller of :func:`dynamics.scan_peaks` with amplitude cap
-    sqrt(1 - epsilon).  That scan samples and refines one chunk at a time, so
+    A one-row :func:`dynamics.scan_candidates` scan with amplitude cap
+    sqrt(1 - epsilon), each chunk's candidates refined by
+    :func:`dynamics.refine_peaks` before the next chunk is sampled, so
     stopping at the first chunk with a hit leaves the rest of [0, t_max]
-    unsampled; otherwise the best peak seen is kept.  Its P are capped at 1, so no infidelity is negative.
+    unsampled; otherwise the best peak seen is kept.  Its P are capped at 1,
+    so no infidelity is negative.  ``scan_budget`` counts the samples and
+    refinement evaluations made.
     """
     if not 0 < epsilon < 1:
         raise ValidationError(f"epsilon must be in (0,1), got {epsilon}")
     if not 0 < t_max < math.inf:
         raise ValidationError(f"t_max must be positive and finite, got {t_max}")
+    f, c = np.array([series.frequencies]), np.array([series.coefficients])
     best_t, best_p, used = 0.0, -1.0, 0
-    for _, times, probs, evaluations in dynamics.scan_peaks(
-        [series.frequencies], [series.coefficients], t_max,
-        amplitude_cap=math.sqrt(1.0 - epsilon),
-    ):
-        used += evaluations
+    cap = math.sqrt(1.0 - epsilon)
+    for candidates, samples in dynamics.scan_candidates(f, c, t_max, amplitude_cap=cap):
+        times, probs, evaluations = dynamics.refine_peaks(f, c, candidates)
+        used += samples + evaluations
         hits = np.flatnonzero(1.0 - probs < epsilon)
         reached = hits.size > 0
         i = int(hits[0]) if reached else int(np.argmax(probs))

@@ -17,10 +17,10 @@ call shape.
 
 :func:`scan_candidates` and :func:`refine_peaks` are the one scan-and-refine
 peak search, over a stack of series, in two steps: sampling, chunk by chunk,
-and Newton refinement of any batch of the candidates found.  The optimizer's
-window maxima scan a whole population and refine every chunk's candidates in
-one batch; :func:`scan_peaks` refines chunk by chunk, so that
-:func:`design.pgt_search`, its one-row caller, stops at its first hit.
+and Newton refinement of any batch of the candidates found.
+:func:`window_maxima` scans a whole stack (the optimizer's population) and
+refines every chunk's candidates in one batch; :func:`design.pgt_search`
+refines chunk by chunk, so that it stops at its first hit.
 Each member keeps its own uniform grid t_m = m h, sampled from two phasor
 tables (:func:`phasor_amplitude`) in one batched product per chunk, not from
 one cosine per sample and frequency; the table entries are products of a
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chains
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, UnsupportedInputError, ValidationError
 
 #: probability may exceed 1 by at most this much before it is an error
 PROB_SLACK = 1e-9
@@ -337,9 +337,13 @@ def amplitudes(frequencies, coefficients, times):
 def scan_size(f_max, t_max):
     """Samples over [0, t_max]: step <= pi/(8 f_max) (4x Nyquist), at least 65.
 
-    Elementwise over an array of maximum frequencies.
+    Elementwise over an array of maximum frequencies.  A count that does not
+    fit in an int64 is an :class:`UnsupportedInputError`.
     """
-    return np.maximum(np.ceil(t_max * 8 * np.asarray(f_max) / np.pi).astype(int) + 1, 65)
+    steps = np.ceil(t_max * 8 * np.asarray(f_max) / np.pi)
+    if not np.all(steps < 2.0**63):
+        raise UnsupportedInputError(f"a scan of [0, {t_max:g}] needs more than 2^63 samples")
+    return np.maximum(steps.astype(int) + 1, 65)
 
 
 def _phasor(angle):
@@ -553,24 +557,24 @@ def refine_peaks(frequencies, coefficients, candidates):
             (steps + 1) * members.size)
 
 
-def scan_peaks(frequencies, coefficients, t_max, amplitude_cap=None, beat=None):
-    """Forward scan-and-refine of P_k(t) = a_k(t)^2 over [0, t_max], chunk by chunk.
+def window_maxima(frequencies, coefficients, t_max, beat=None):
+    """Window maximum of P_k(t) = a_k(t)^2 over [0, t_max] for each row of a series stack.
 
-    :func:`scan_candidates` samples a chunk, :func:`refine_peaks` refines its
-    candidates, and the chunk's peaks are yielded before the next chunk is
-    sampled, so a caller can stop at the first chunk that satisfies it.
+    One :func:`scan_candidates` scan of every member, then one
+    :func:`refine_peaks` batch of every chunk's candidates; a member's value
+    is the largest refined P of its candidates, the same bits as a scan of
+    that member alone.
 
-    With ``beat``, a member whose largest P without ``beat`` is >= beat_k gets
-    that largest P again, bit for bit, and any other member's P are all below
-    beat_k, or it yields none.  Which maximum a member below beat_k yields, or
-    where, is not promised.
-
-    Yields ``(members, times, probs, evaluations)`` per chunk: each
-    candidate's row, time and P from :func:`refine_peaks`, and the samples
-    plus refinement evaluations made.
+    ``beat`` (a number or one per member) lets the scan skip what cannot
+    decide ``value >= beat``: a member whose window maximum is >= beat_k gets
+    that maximum, bit for bit, and any other member gets a value below
+    beat_k (-1 when none of its maxima was refined).  So comparing the
+    values with ``beat`` picks the same members as without it.
     """
-    f = np.asarray(frequencies, dtype=float)
-    c = np.asarray(coefficients, dtype=float)
-    for candidates, samples in scan_candidates(f, c, t_max, amplitude_cap, beat):
-        times, probs, evaluations = refine_peaks(f, c, candidates)
-        yield candidates[0], times, probs, samples + evaluations
+    probs = np.full(len(frequencies), -1.0)
+    scan = [found for found, _ in scan_candidates(frequencies, coefficients, t_max, beat=beat)]
+    if scan:  # every chunk's candidates, refined in one Newton batch
+        candidates = tuple(map(np.concatenate, zip(*scan)))
+        _, peaks, _ = refine_peaks(frequencies, coefficients, candidates)
+        np.maximum.at(probs, candidates[0], peaks)
+    return probs

@@ -80,12 +80,6 @@ def divisors(n):
 # ---------------------------------------------------------------------------
 
 
-def poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return list(p) if len(p) else [0]
-
-
 def poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -176,7 +170,7 @@ def reduced_charpoly_homogeneous(k):
         for i, cf in enumerate(prev):
             nxt[i] -= off2 * cf
         prev, cur = cur, nxt
-    return poly_trim(cur)
+    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ generator and deferred updates (Storn & Price, J. Global Optim. 11, 341
 all trials against the generation's frozen population in one stacked
 expression, evaluates them as one stack through :func:`objective` (one
 coupling-array stack, one J stack, one ``eigh`` call, and for window maxima
-one scan with one Newton batch), and then keeps each trial that is at least
-as good as its parent.  A trial equal to its parent is not evaluated: it has
-its parent's P.  Once the population is one point, every later mutant is
-that point, so the run stops and fills in the remaining generations.  The
-evaluation count still counts every trial.  Identical problems and budgets
-give bitwise-identical results, so seeded runs stay byte-identical.
+one :func:`dynamics.window_maxima` call), and then keeps each trial that is
+at least as good as its parent.  A trial equal to its parent is not
+evaluated: it has its parent's P.  Once the population is one point, every
+later mutant is that point, so the run stops and fills in the remaining
+generations.  The evaluation count still counts every trial.  Identical
+problems and budgets give bitwise-identical results, so seeded runs stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -221,17 +222,13 @@ def objective(problem, params, beat=None):
     :meth:`OptProblem.couplings` and one :func:`chains.jacobi_matrix` call
     build every member's J at once; the stack then takes one ``eigh`` call
     (:func:`dynamics.jacobi_series`) and, for window maxima, one
-    :func:`dynamics.scan_candidates` scan whose candidates, from every chunk,
-    take one :func:`dynamics.refine_peaks` batch.  A vector gives a float, a stack an
+    :func:`dynamics.window_maxima` call.  A vector gives a float, a stack an
     array; a stacked value has the same bits as the vector's.  Every P
     goes through :func:`dynamics.capped_probability`; couplings whose squares
     overflow are an :class:`UnsupportedInputError` from the J builder.
 
-    ``beat`` (a number or one per member, window maxima only) lets the scan
-    skip what cannot decide ``value >= beat``: a member whose window maximum
-    is >= beat gets that maximum, bit for bit, and any other member gets a
-    value below beat (-1 when none of its maxima was refined).  So comparing
-    the values with ``beat`` picks the same members as without it.
+    ``beat`` (window maxima only) is passed to :func:`dynamics.window_maxima`:
+    comparing the values with ``beat`` picks the same members as without it.
     """
     params = np.asarray(params, dtype=float)
     stack = np.atleast_2d(params)
@@ -249,12 +246,7 @@ def objective(problem, params, beat=None):
     freqs, coeffs = dynamics.jacobi_series(chains.jacobi_matrix(*problem.couplings(stack)))
     arrival = problem.arrival_time
     if problem.window_max:
-        probs = np.full(len(stack), -1.0)
-        scan = [found for found, _ in dynamics.scan_candidates(freqs, coeffs, arrival, beat=beat)]
-        if scan:  # every chunk's candidates, refined in one Newton batch
-            candidates = tuple(map(np.concatenate, zip(*scan)))
-            _, peaks, _ = dynamics.refine_peaks(freqs, coeffs, candidates)
-            np.maximum.at(probs, candidates[0], peaks)
+        probs = dynamics.window_maxima(freqs, coeffs, arrival, beat)
     else:
         probs = dynamics.capped_probability(
             dynamics.amplitudes(freqs, coeffs, np.full(len(stack), arrival)) ** 2

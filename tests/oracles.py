@@ -20,11 +20,12 @@ reference for the stacked ``chains.jacobi_matrix``.  ``problem_chain`` builds
 the ``ChainSpec`` of one optimizer parameter vector, float by float, the
 reference for the stacked ``optimize.OptProblem.couplings``.
 
-``peak_search`` is the one-row caller of ``dynamics.scan_peaks``: the (t*, P*)
-of one series, against which the optimizer's stacked window maxima are
-compared.  ``candidates_full_mask`` finds a scan chunk's candidate samples
-with every padded sample masked, the reference for ``dynamics._candidates``,
-which masks only the padding it reads.
+``peak_search`` scans one series with ``dynamics.scan_candidates`` and
+refines each chunk's candidates on their own: the (t*, P*) against which the
+stacked window maxima of ``dynamics.window_maxima``, one Newton batch for
+every chunk, are compared.  ``candidates_full_mask`` finds a scan chunk's
+candidate samples with every padded sample masked, the reference for
+``dynamics._candidates``, which masks only the padding it reads.
 
 ``factor_degrees`` factors an integer polynomial with sympy's general
 ``factor_list``, the reference for the product-identity certificate of
@@ -39,7 +40,13 @@ import sympy as sy
 
 from qstc import chains, dynamics, optimize
 from qstc.errors import NumericalError, StructuralError, UnsupportedInputError, ValidationError
-from qstc.exact import poly_trim
+
+
+def poly_trim(p):
+    """``p`` without its trailing zero coefficients; [0] for the zero polynomial."""
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return list(p) if len(p) else [0]
 
 
 def poly_eval(p, x):
@@ -258,16 +265,18 @@ def dimerized_series(w, g):
 
 
 def peak_search(series, t_max):
-    """(t*, P*) at the global maximum of P over [0, t_max], by ``dynamics.scan_peaks``.
+    """(t*, P*) at the global maximum of P over [0, t_max], refined chunk by chunk.
 
-    The one-row caller of the stacked scan; P* is ``series.probability(t*)``
-    capped at 1, bit for bit.
+    A one-row scan whose chunks' candidates each take their own
+    ``dynamics.refine_peaks`` batch; P* is ``series.probability(t*)`` capped
+    at 1, bit for bit.
     """
     if not 0 < t_max < math.inf:
         raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     best_t, best_p = 0.0, -1.0
-    scan = dynamics.scan_peaks([series.frequencies], [series.coefficients], t_max)
-    for _, times, probs, _ in scan:
+    f, c = np.array([series.frequencies]), np.array([series.coefficients])
+    for candidates, _ in dynamics.scan_candidates(f, c, t_max):
+        times, probs, _ = dynamics.refine_peaks(f, c, candidates)
         i = int(np.argmax(probs))
         if probs[i] > best_p:
             best_t, best_p = float(times[i]), float(probs[i])

@@ -222,6 +222,10 @@ class TestDesignCommand:
         assert run(["design", "bound", "--w", "1.0"]) == 0
         assert "P_up(1) = 1" in capsys.readouterr().out
 
+    def test_bound_at_huge_w(self, workdir, capsys):
+        assert run(["design", "bound", "--w", "1e100"]) == 0
+        assert "P_up(1e+100) = 1e-200" in capsys.readouterr().out
+
     def test_pgt(self, workdir):
         spec_file = write_spec(workdir / "n17.json", chains.homogeneous_chain(17))
         out = workdir / "pgt.json"
@@ -267,6 +271,28 @@ def test_non_finite_input_rejected(workdir, argv, value):
     assert run([a.format(value) for a in argv]) == 2
     manifest = json.loads((workdir / "qstc-manifest.json").read_text())
     assert manifest["error"].startswith("ValidationError")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "pgt", "--spec", "n11.json", "--epsilon", "0.05", "--tmax", "1e300"],
+        ["optimize", "--config", "cfg.json"],
+    ],
+)
+def test_scan_count_beyond_int64_rejected(workdir, capsys, argv):
+    # a window of 1e300 needs more samples than an int64 counts: bad input, with no warning
+    write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+    (workdir / "cfg.json").write_text(json.dumps(
+        {"scenario": "fixed_w_opt_g", "k": 2, "seed": 1, "budget": 150, "T": 1e300,
+         "window_max": True, "fixed_params": {"w": 0.8}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+    assert manifest["error"].startswith("UnsupportedInputError")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-1"])

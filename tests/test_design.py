@@ -144,6 +144,13 @@ class TestDimerized:
         expected = (w * (1 + w * w) / (1 + w**4)) ** 2
         assert design.dimerized_upper_bound(w) == pytest.approx(expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.floats(min_value=1e-150, max_value=1e150))
+    def test_bound_is_symmetric_under_inverse_w(self, w):
+        # P_up(w) = P_up(1/w); w**4 alone overflows for w above about 1e77
+        assert design.dimerized_upper_bound(w) == pytest.approx(
+            design.dimerized_upper_bound(1 / w), rel=1e-14, abs=0.0)
+
     def test_series_matches_numerics(self):
         w, g = 0.7, 1.3
         times = np.linspace(0.0, 200.0, 2000)

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from oracles import candidates_full_mask, dimerized_chain, peak_search, write_trace_csv
 from qstc import chains, design, dynamics
-from qstc.errors import NumericalError, ValidationError
+from qstc.errors import NumericalError, UnsupportedInputError, ValidationError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -379,11 +379,55 @@ class TestPeakSearch:
         assert t_star == pytest.approx(whole_t, rel=1e-12)
         assert p_star == pytest.approx(whole_p, abs=1e-15)
         assert p_star == float(series.probability(t_star)[0])
-        # every sample is scanned, each shared boundary sample once per chunk
+        # one segment per chunk; every sample is scanned, each shared boundary sample twice
         n = dynamics.scan_size(max(series.frequencies), t_max)
-        chunked = list(dynamics.scan_peaks([series.frequencies], [series.coefficients], t_max))
+        chunked = list(dynamics.scan_candidates([series.frequencies], [series.coefficients], t_max))
         assert len(chunked) == -(-(n - 1) // chunk)
-        assert sum(e for _, _, _, e in chunked) >= n + len(chunked) - 1
+        assert sum(samples for _, samples in chunked) == n + len(chunked) - 1
+
+    def test_count_beyond_int64_rejected(self):
+        # 1e300 * 16 / pi samples do not fit in an int64; a count that fits keeps its value
+        with pytest.raises(UnsupportedInputError):
+            dynamics.scan_size(2.0, 1e300)
+        assert dynamics.scan_size(1.0, 1e18) == math.ceil(8e18 / math.pi) + 1
+
+
+class TestWindowMaxima:
+    @pytest.mark.parametrize("chunk", [dynamics.SCAN_CHUNK, 97])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        members=st.integers(min_value=1, max_value=8),
+        n_freq=st.integers(min_value=1, max_value=7),
+        t_max=st.floats(min_value=0.5, max_value=60.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zero=st.booleans(),
+        repeated=st.booleans(),
+    )
+    def test_rows_match_chunk_by_chunk_search(self, chunk, members, n_freq, t_max, seed,
+                                              zero, repeated):
+        # any stack of series, not only chains': coefficients of any sign and sum
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(0.0, 3.0, (members, n_freq))
+        if zero:
+            f[:, 0] = 0.0
+        if repeated:
+            f[:, -1] = f[:, 0]
+        c = rng.uniform(-1.0, 1.0, (members, n_freq))
+        c /= np.maximum(np.abs(c).sum(axis=1, keepdims=True), 1.0)  # so that P <= 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "SCAN_CHUNK", chunk)
+            values = dynamics.window_maxima(f, c, t_max)
+            for row, value in zip(zip(f.tolist(), c.tolist()), values):
+                assert value == peak_search(dynamics.CosineSeries(*map(tuple, row)), t_max)[1]
+            # beats anywhere in [0, 1], near the values on either side, and equal to them
+            beat = np.where(rng.random(members) < 0.5, rng.random(members),
+                            values * rng.uniform(0.9, 1.1, members))
+            tie = rng.random(members) < 0.2
+            beat[tie] = values[tie]
+            beaten = dynamics.window_maxima(f, c, t_max, beat)
+        reach = values >= beat
+        assert np.array_equal(beaten[reach], values[reach])
+        assert np.all(beaten[~reach] < beat[~reach])
 
 
 class TestCandidates:

@@ -8,7 +8,7 @@ import sympy as sy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import char_poly_exact, factor_degrees, poly_eval, reduce_even
+from oracles import char_poly_exact, factor_degrees, poly_eval, poly_trim, reduce_even
 from qstc import chains, exact
 from qstc.errors import NumericalError, StructuralError, UnsupportedInputError, ValidationError
 
@@ -30,9 +30,9 @@ SEQUENCE_TAGS = {
 
 class TestPolyHelpers:
     def test_trim(self):
-        assert exact.poly_trim([1, 2, 0, 0]) == [1, 2]
-        assert exact.poly_trim([0, 0]) == [0]
-        assert exact.poly_trim([]) == [0]
+        assert poly_trim([1, 2, 0, 0]) == [1, 2]
+        assert poly_trim([0, 0]) == [0]
+        assert poly_trim([]) == [0]
 
     def test_mul_and_eval(self):
         # (1 + x)(1 - x) = 1 - x^2
