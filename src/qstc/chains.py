@@ -22,14 +22,14 @@ mirror-symmetric layout from its left half; the symmetric JSON form
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedInputError, ValidationError, check_keys, load_json, read_value
+from .errors import (UnsupportedInputError, ValidationError, check_keys, load_json, read_value,
+                     write_json)
 
 
 def _check_couplings(name, values, expected_len):
@@ -251,6 +251,4 @@ def load_spec(path):
 
 
 def save_spec(spec, path):
-    with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+    write_json(spec_to_dict(spec), path)

@@ -12,10 +12,13 @@ Exit codes: 0 success, 2 bad input, 3 numerical failure, 4 infeasible design.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 import time
+
+from .errors import (InfeasibleDesignError, NumericalError, StructuralError,
+                     UnsupportedInputError, ValidationError, load_json, read_value, write_json)
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -28,8 +31,6 @@ def _apply_threads(threads):
         threads = os.environ.get("QSTC_THREADS")
     if threads is None:
         return None
-    from .errors import ValidationError
-
     try:
         threads = int(threads)
     except ValueError as exc:
@@ -41,10 +42,12 @@ def _apply_threads(threads):
     return threads
 
 
-def _write_json(payload, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _json_out(payload, path):
+    """Write ``payload`` to ``path``, an ``--out`` value, if one was given; the paths written."""
+    if not path:
+        return []
+    write_json(payload, path)
+    return [path]
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +66,6 @@ def _cmd_spectrum(args):
     tags = exact_payload = None
     if args.exact:
         from . import exact
-        from .errors import UnsupportedInputError
 
         if any(c != 1.0 for c in spec.t + spec.w + spec.g):
             raise UnsupportedInputError("--exact needs a homogeneous unit-coupling chain")
@@ -76,19 +78,11 @@ def _cmd_spectrum(args):
     }
     if args.verify_lemmas:
         report = spectral.verify_lemmas(spec)
-        payload["lemmas"] = {
-            "lemma1": report.lemma1,
-            "lemma2": report.lemma2,
-            "lemma3": report.lemma3,
-            "lemma4": report.lemma4,
-            "violations": {k: str(v) for k, v in report.violations.items()},
-        }
+        payload["lemmas"] = dict(dataclasses.asdict(report), violations={
+            k: str(v) for k, v in report.violations.items()})
     if args.exact:
         payload["exact"] = exact_payload
-    outputs = []
-    if args.out:
-        _write_json(payload, args.out)
-        outputs.append(args.out)
+    outputs = _json_out(payload, args.out)
     evs = np.asarray(payload["spectrum"]["eigenvalues"])
     print(f"N={spec.n}  eigenvalues in [{evs.min():.6g}, {evs.max():.6g}]  "
           f"null multiplicity {payload['spectrum']['null_multiplicity']}")
@@ -105,7 +99,6 @@ def _cmd_evolve(args):
     import numpy as np
 
     from . import chains, dynamics
-    from .errors import ValidationError
 
     if args.samples < 2:
         raise ValidationError(f"samples must be >= 2, got {args.samples}")
@@ -127,11 +120,8 @@ def _cmd_design_pst(args):
     from . import design
 
     d = design.design_pst(args.family, args.k, args.v1)
-    payload = d.to_dict()
-    outputs = []
-    if args.out:
-        _write_json(payload, args.out)
-        outputs.append(args.out)
+    payload = dataclasses.asdict(d)
+    outputs = _json_out(payload, args.out)
     pairs = ", ".join(f"{k}={v:.12g}" for k, v in d.couplings.items())
     print(f"{d.family} k={d.k} v1={d.v1:g}: {pairs}")
     return payload, outputs
@@ -151,11 +141,8 @@ def _cmd_design_pgt(args):
     spec = chains.load_spec(args.spec_file)
     series = dynamics.chain_series(spec)
     result = design.pgt_search(series, args.epsilon, args.tmax)
-    payload = result.to_dict()
-    outputs = []
-    if args.out:
-        _write_json(payload, args.out)
-        outputs.append(args.out)
+    payload = dataclasses.asdict(result)
+    outputs = _json_out(payload, args.out)
     if result.reached:
         print(f"reached: t={result.t_found:.12g}  infidelity={result.best_infidelity:.3g}")
     else:
@@ -166,7 +153,6 @@ def _cmd_design_pgt(args):
 
 def _cmd_optimize(args):
     from . import optimize as qopt
-    from .errors import load_json, read_value
 
     config = load_json(args.config, "optimize config")
     problems = qopt.problems_from_config(config)
@@ -191,9 +177,7 @@ def _cmd_optimize(args):
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
         outputs.append(args.out_csv)
-    if args.out:
-        _write_json(payload, args.out)
-        outputs.append(args.out)
+    outputs += _json_out(payload, args.out)
     if "sweep" in config:
         ok = sum(1 for res, _ in results if res is not None)
         print(f"sweep: {ok}/{len(results)} problems solved")
@@ -222,17 +206,13 @@ def _cmd_glue(args):
         "containment_ok": bool(contained),
         "containment_worst_deviation": float(worst),
     }
-    outputs = []
-    if args.out:
-        chains.save_spec(result.child, args.out)
-        outputs.append(args.out)
+    outputs = _json_out(payload["child_spec"], args.out)
     print(f"glued N={parent.n} -> N={result.child.n}; parent spectrum contained: {contained}")
     return payload, outputs
 
 
 def _cmd_sequences(args):
     from . import exact
-    from .errors import ValidationError
 
     if args.k_max < 1:
         raise ValidationError(f"k-max must be >= 1, got {args.k_max}")
@@ -250,10 +230,7 @@ def _cmd_sequences(args):
                 "certification": report.certification,
             }
         )
-    outputs = []
-    if args.out:
-        _write_json({"rows": rows}, args.out)
-        outputs.append(args.out)
+    outputs = _json_out({"rows": rows}, args.out)
     print("k,N,sequence,poly")
     for row in rows:
         print(f"{row['k']},{row['N']},{row['sequence']},{row['poly']}")
@@ -330,18 +307,16 @@ def build_parser():
 
 
 def _classify_error(exc):
-    from . import errors
-
-    if isinstance(exc, errors.InfeasibleDesignError):
+    if isinstance(exc, InfeasibleDesignError):
         return EXIT_INFEASIBLE
-    if isinstance(exc, errors.NumericalError):
+    if isinstance(exc, NumericalError):
         return EXIT_NUMERICAL
     if isinstance(
         exc,
         (
-            errors.ValidationError,
-            errors.StructuralError,
-            errors.UnsupportedInputError,
+            ValidationError,
+            StructuralError,
+            UnsupportedInputError,
             OSError,  # inputs are read at typed boundaries; this is an unwritable --out
         ),
     ):
@@ -382,7 +357,7 @@ def main(argv=None):
         print(f"error: {manifest['error']}", file=sys.stderr)
     manifest["wall_time"] = time.monotonic() - start
     try:
-        _write_json(manifest, manifest_path)
+        write_json(manifest, manifest_path)
     except OSError as exc:  # manifest failure must not mask the result
         print(f"warning: could not write manifest: {exc}", file=sys.stderr)
     return code

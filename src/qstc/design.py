@@ -66,16 +66,6 @@ class PstDesign:
         backbone = (self.v1,) + tuple(c[name] for name in ("v2", "v3") if name in c)
         return chains.mirror_chain(backbone, (c["g1"], c["g2"]))
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "k": self.k,
-            "v1": self.v1,
-            "couplings": dict(self.couplings),
-            "feasible_interval": list(self.feasible_interval),
-            "target_spectrum": list(self.target_spectrum),
-        }
-
 
 def _check_feasible(family, k, v1):
     if not 0 < v1 < math.inf:
@@ -90,6 +80,23 @@ def _check_feasible(family, k, v1):
     return lo, hi
 
 
+def _pst_design(family, k, v1, interval, spectrum, couplings, squares):
+    """The :class:`PstDesign` of ``couplings`` and the square roots of ``squares``.
+
+    ``squares`` maps names to derived squared couplings, in the design's
+    coupling order after ``couplings``; one that is not positive is an
+    :class:`InfeasibleDesignError`.
+    """
+    if min(squares.values()) <= 0:
+        raise InfeasibleDesignError(
+            f"derived squared couplings not all positive for k={k}, v1={v1:g}",
+            interval=interval,
+        )
+    roots = {name: math.sqrt(sq) for name, sq in squares.items()}
+    return PstDesign(family=family, k=k, v1=float(v1), couplings={**couplings, **roots},
+                     feasible_interval=interval, target_spectrum=spectrum)
+
+
 def design_pst_n8(k, v1):
     """Couplings of the N=8 chain with spectrum {+-k, +-(k+1), +-(k+2), 0^2}.
 
@@ -101,24 +108,9 @@ def design_pst_n8(k, v1):
     v2_sq = (3 + 4 * k * (k + 2)) / (2 * v1 * v1)
     g1_sq = (k + 1) ** 2 - v1 * v1
     g2_sq = (3 * k * k + 6 * k + 5) - 2 * (v1 * v1 + v2_sq + g1_sq)
-    if min(v2_sq, g1_sq, g2_sq) <= 0:
-        raise InfeasibleDesignError(
-            f"derived squared couplings not all positive for k={k}, v1={v1:g}",
-            interval=interval,
-        )
     spectrum = (-(k + 2), -(k + 1), -k, 0, 0, k, k + 1, k + 2)
-    return PstDesign(
-        family="n8",
-        k=k,
-        v1=float(v1),
-        couplings={
-            "v2": math.sqrt(v2_sq),
-            "g1": math.sqrt(g1_sq),
-            "g2": math.sqrt(g2_sq),
-        },
-        feasible_interval=interval,
-        target_spectrum=spectrum,
-    )
+    return _pst_design("n8", k, v1, interval, spectrum, {},
+                       {"v2": v2_sq, "g1": g1_sq, "g2": g2_sq})
 
 
 def design_pst_n11(k, v1):
@@ -130,25 +122,9 @@ def design_pst_n11(k, v1):
     g2_sq = ((10 + 4 * k + 4 * k * k) * v1 * v1 - (15 + 36 * k + 12 * k * k)) / (
         4 * v1 * v1
     )
-    if min(g1_sq, g2_sq) <= 0:
-        raise InfeasibleDesignError(
-            f"derived squared couplings not all positive for k={k}, v1={v1:g}",
-            interval=interval,
-        )
     spectrum = tuple(sorted([0, 0, 0] + [s * (k + j) for j in range(4) for s in (1, -1)]))
-    return PstDesign(
-        family="n11",
-        k=k,
-        v1=float(v1),
-        couplings={
-            "v2": v2,
-            "v3": v3,
-            "g1": math.sqrt(g1_sq),
-            "g2": math.sqrt(g2_sq),
-        },
-        feasible_interval=interval,
-        target_spectrum=spectrum,
-    )
+    return _pst_design("n11", k, v1, interval, spectrum, {"v2": v2, "v3": v3},
+                       {"g1": g1_sq, "g2": g2_sq})
 
 
 def design_pst(family, k, v1):
@@ -196,17 +172,6 @@ class PgtSearchResult:
     best_infidelity: float
     scan_budget: int
     frequencies: tuple
-
-    def to_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "t_found": self.t_found,
-            "reached": self.reached,
-            "best_t": self.best_t,
-            "best_infidelity": self.best_infidelity,
-            "scan_budget": self.scan_budget,
-            "frequencies": list(self.frequencies),
-        }
 
 
 def pgt_search(series, epsilon, t_max):

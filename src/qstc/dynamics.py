@@ -405,21 +405,28 @@ def phasor_amplitude(frequencies, coefficients, h, start, size):
     return inner.transpose(1, 0, 2).view(float) @ outer.view(float).transpose(1, 2, 0)
 
 
-def _chunks(sizes):
-    """Consecutive segment ranges whose padded sample blocks fit in SCAN_CHUNK.
+def _chunks(n, members):
+    """``(members, starts, sizes)`` of each chunk of a scan on grids of ``n`` samples.
 
-    A range's block is (segments x widest segment) samples, rounded up to
-    whole PHASOR_BLOCK rows; a segment that fills a block alone is its own range.
+    One entry per segment of the scanned ``members``, in member order.  Consecutive segments share a
+    chunk while (segments x widest segment) samples, in whole PHASOR_BLOCK
+    rows, fit in SCAN_CHUNK.  Every segment but a member's last has
+    SCAN_CHUNK + 1 samples, so it goes alone and comes from a ``range``: only
+    each member's last segment is held, however long the scan.
     """
-    rows = -(-sizes // PHASOR_BLOCK)
+    start = (n[members] - 2) // SCAN_CHUNK * SCAN_CHUNK  # of each member's last segment
+    size = n[members] - start
     first, widest = 0, 0
-    for i, r in enumerate(rows.tolist()):
+    for i, (last, r) in enumerate(zip(start.tolist(), (-(-size // PHASOR_BLOCK)).tolist())):
         widest = max(widest, r)
-        if i > first and (i - first + 1) * widest * PHASOR_BLOCK > SCAN_CHUNK:
-            yield first, i
+        # a member's full segments come first, so they close the run before it
+        if i > first and (last or (i - first + 1) * widest * PHASOR_BLOCK > SCAN_CHUNK):
+            yield members[first:i], start[first:i], size[first:i]
             first, widest = i, r
-    if first < len(rows):
-        yield first, len(rows)
+        for full in range(0, last, SCAN_CHUNK):
+            yield members[i:i + 1], np.array([full]), np.array([SCAN_CHUNK + 1])
+    if first < len(members):
+        yield members[first:], start[first:], size[first:]
 
 
 def _candidates(f, c, h, delta, start, size, amplitude_cap, least):
@@ -469,8 +476,9 @@ def scan_candidates(frequencies, coefficients, t_max, amplitude_cap=None, beat=N
     series.  It is scanned on its own :func:`scan_size` grid t = i h_k, cut into
     segments of SCAN_CHUNK steps that share their boundary samples.  Segments
     go in member order in chunks whose padded sample block holds at most
-    SCAN_CHUNK samples (a longer segment goes alone), which bounds the memory
-    of a scan; :func:`phasor_amplitude` samples a chunk in one batched product.
+    SCAN_CHUNK samples (a longer segment goes alone), streamed by
+    :func:`_chunks`, so the memory of a scan does not grow with t_max;
+    :func:`phasor_amplitude` samples a chunk in one batched product.
 
     An interior maximum of |a_k| has a' = 0, so it exceeds its nearest sample
     by at most sum |c_j| f_j^2 h_k^2 / 8.  A computed sample, from the tables
@@ -500,17 +508,13 @@ def scan_candidates(frequencies, coefficients, t_max, amplitude_cap=None, beat=N
     ceiling = np.abs(c).sum(axis=1)
     eta = 4 * np.finfo(float).eps * (1 + f_max * t_max) * ceiling
     delta = np.einsum("kj,kj->k", np.abs(c * f), f) * h * h / 8 + eta
-    per = -(-(n - 1) // SCAN_CHUNK)
+    members = np.arange(len(f))
     least = np.full(len(f), -np.inf)
     if beat is not None:
         root = np.sqrt(np.maximum(beat, 0.0))
-        per = np.where(ceiling + eta < root, 0, per)
+        members = np.flatnonzero(~(ceiling + eta < root))
         least = root - 2 * delta
-    member = np.repeat(np.arange(len(f)), per)
-    start = (np.arange(member.size) - np.repeat(np.cumsum(per) - per, per)) * SCAN_CHUNK
-    size = np.minimum(start + SCAN_CHUNK, n[member] - 1) - start + 1
-    for first, last in _chunks(size):
-        k, st, sz = member[first:last], start[first:last], size[first:last]
+    for k, st, sz in _chunks(n, members):
         seg, pos = _candidates(f[k], c[k], h[k], delta[k], st, sz, amplitude_cap, least[k])
         rows, index, span = k[seg], st[seg] + pos, n[k[seg]] - 1
         lo = t_max * (np.maximum(index - 1, st[seg]) / span)

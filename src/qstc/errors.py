@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all qstc modules, and the one reader of JSON input."""
+"""Exception hierarchy shared by all qstc modules, and the one JSON reader and writer."""
 
 import json
 
@@ -38,6 +38,13 @@ def load_json(path, what):
             return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, too many digits
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_json(payload, path):
+    """Write ``payload`` to the file at ``path`` as JSON, indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def check_keys(data, allowed, where):

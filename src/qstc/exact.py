@@ -17,9 +17,9 @@ Psi_n (:func:`psi_poly`) is the minimal polynomial of 2 cos(2 pi / n).  Psi_n
 is irreducible over the rationals of degree phi(n)/2 (D. H. Lehmer, Amer.
 Math. Monthly 40, 165 (1933)) and is Phi_n(z) z^(-phi(n)/2) written in
 x = z + 1/z (W. Watkins and J. Zeitlin, Amer. Math. Monthly 100, 471 (1993)).
-So one exact check of that integer identity proves the degrees
-``cyclotomic_factor_degrees``; the published degree column itself comes from
-``table_degree``.
+So one exact check of that integer identity proves the rational factor
+degrees, which ``char_poly_report`` reads off the very factors it has just
+multiplied; the published degree column itself comes from ``table_degree``.
 
 The divisors, totients and prime factors these identities need come from the
 integer helpers below, so importing this module does not load sympy.
@@ -178,23 +178,6 @@ def reduced_charpoly_homogeneous(k):
 # ---------------------------------------------------------------------------
 
 
-def cyclotomic_factor_degrees(k):
-    """Rational factor degrees of the reduced polynomial, from first principles.
-
-    The squared nonzero eigenvalues of the homogeneous chain with N = 3k+5
-    qubits are y_j = 3 + 2 cos(pi j / m) with m = k+2.  Each divisor n >= 3
-    of 2m contributes one irreducible factor of degree phi(n)/2 (the minimal
-    polynomial of 3 + 2 cos(2 pi / n)), and n = 2 contributes the linear
-    factor y - 1.  Returns the sorted degree multiset.
-    """
-    m = k + 2
-    degrees = [1]  # n = 2, root y = 1
-    for n in divisors(2 * m):
-        if n >= 3:
-            degrees.append(totient(n) // 2)
-    return tuple(sorted(degrees))
-
-
 def _odd_part(n):
     while n % 2 == 0:
         n //= 2
@@ -323,11 +306,11 @@ class CharPolyReport:
     """Exact spectral-algebra summary of a homogeneous chain.
 
     ``rational_degrees`` are the sorted degrees of the irreducible rational
-    factors of the reduced polynomial, :func:`cyclotomic_factor_degrees`.
-    ``certification`` is always "proved": :func:`char_poly_report` checks the
-    integer identity q(y) = (y - 1) prod_{n | 2m, n >= 3} Psi_n(y - 3), and
-    each Psi_n is irreducible of degree phi(n)/2 (Lehmer 1933; Watkins and
-    Zeitlin 1993), so the degrees follow with no factoring.
+    factors of the reduced polynomial, read off the factors of the identity
+    that :func:`char_poly_report` checks, q(y) = (y - 1) prod_{n | 2m, n >= 3}
+    Psi_n(y - 3).  ``certification`` is always "proved": each Psi_n is
+    irreducible of degree phi(n)/2 (Lehmer 1933; Watkins and Zeitlin 1993),
+    so the degrees follow with no factoring.
     """
 
     k: int
@@ -360,17 +343,17 @@ def char_poly_report(k):
     if not 0 <= k <= K_CAP:
         raise ValidationError(f"k={k} outside supported range 0..{K_CAP}")
     q = reduced_charpoly_homogeneous(k)
+    factors = [poly_shift(psi_poly(n), 3) for n in divisors(2 * (k + 2)) if n >= 3]
     product = [-1, 1]  # y - 1, the root 3 + 2 cos(pi)
-    for n in divisors(2 * (k + 2)):
-        if n >= 3:
-            product = poly_mul(product, poly_shift(psi_poly(n), 3))
+    for factor in factors:
+        product = poly_mul(product, factor)
     if product != q:
         raise NumericalError(f"k={k}: q(y) is not (y - 1) prod Psi_n(y - 3)")
     return CharPolyReport(
         k=k,
         n=3 * k + 5,
         reduced_poly=tuple(q),
-        rational_degrees=cyclotomic_factor_degrees(k),
+        rational_degrees=tuple(sorted([1] + [len(factor) - 1 for factor in factors])),
         max_degree=table_degree(k),
         certification="proved",
         sequence=classify_sequence(k),

@@ -26,6 +26,10 @@ stacked window maxima of ``dynamics.window_maxima``, one Newton batch for
 every chunk, are compared.  ``candidates_full_mask`` finds a scan chunk's
 candidate samples with every padded sample masked, the reference for
 ``dynamics._candidates``, which masks only the padding it reads.
+``scan_chunks`` builds a scan's whole segment table, one entry per
+SCAN_CHUNK steps of every member, and cuts it into chunks by the greedy
+rule: the reference for ``dynamics._chunks``, which holds one entry per
+member.
 
 ``factor_degrees`` factors an integer polynomial with sympy's general
 ``factor_list``, the reference for the product-identity certificate of
@@ -281,3 +285,28 @@ def peak_search(series, t_max):
         if probs[i] > best_p:
             best_t, best_p = float(times[i]), float(probs[i])
     return best_t, best_p
+
+
+def scan_chunks(n, per):
+    """``(members, starts, sizes)`` of each chunk of a scan, from its whole segment table.
+
+    Member k is cut into ``per[k]`` segments of SCAN_CHUNK steps (0 when the
+    scan skips it) on its grid of ``n[k]`` samples; consecutive segments go
+    into one chunk while (segments x widest segment) samples, in whole
+    PHASOR_BLOCK rows, fit in SCAN_CHUNK.
+    """
+    chunk, block = dynamics.SCAN_CHUNK, dynamics.PHASOR_BLOCK
+    n, per = np.asarray(n), np.asarray(per)
+    member = np.repeat(np.arange(len(n)), per)
+    start = (np.arange(member.size) - np.repeat(np.cumsum(per) - per, per)) * chunk
+    size = np.minimum(start + chunk, n[member] - 1) - start + 1
+    rows = -(-size // block)
+    out, first, widest = [], 0, 0
+    for i, r in enumerate(rows.tolist()):
+        widest = max(widest, r)
+        if i > first and (i - first + 1) * widest * block > chunk:
+            out.append((member[first:i], start[first:i], size[first:i]))
+            first, widest = i, r
+    if first < len(rows):
+        out.append((member[first:], start[first:], size[first:]))
+    return out

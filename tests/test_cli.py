@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -30,6 +31,149 @@ def write_spec(path, spec):
 
 def run(argv):
     return cli.main(argv)
+
+
+# JSON text that design pst, design pgt and spectrum --verify-lemmas wrote when
+# their payloads, the lemma block's included, were still written out key by key
+PST_N8_K2 = """\
+{
+  "family": "n8",
+  "k": 2,
+  "v1": 2.0,
+  "couplings": {
+    "v2": 2.091650066335189,
+    "g1": 2.23606797749979,
+    "g2": 1.5
+  },
+  "feasible_interval": [
+    3.1818181818181817,
+    9.0
+  ],
+  "target_spectrum": [
+    -4,
+    -3,
+    -2,
+    0,
+    0,
+    2,
+    3,
+    4
+  ]
+}
+"""
+PST_N11_K1 = """\
+{
+  "family": "n11",
+  "k": 1,
+  "v1": 2.0,
+  "couplings": {
+    "v2": 1.984313483298443,
+    "v3": 2.23606797749979,
+    "g1": 1.224744871391589,
+    "g2": 0.75
+  },
+  "feasible_interval": [
+    3.5,
+    5.5
+  ],
+  "target_spectrum": [
+    -4,
+    -3,
+    -2,
+    -1,
+    0,
+    0,
+    0,
+    1,
+    2,
+    3,
+    4
+  ]
+}
+"""
+PGT_N11 = """\
+{
+  "epsilon": 0.001,
+  "t_found": 57978.07911681928,
+  "reached": true,
+  "best_t": 57978.07911681928,
+  "best_infidelity": 0.0006492209524044945,
+  "scan_budget": 327848,
+  "frequencies": [
+    0.9999999999999999,
+    1.2592801267497655,
+    1.7320508075688776,
+    2.1010029896154587
+  ]
+}
+"""
+SPECTRUM_SYM2 = """\
+{
+  "N": 11,
+  "k": 2,
+  "spectrum": {
+    "eigenvalues": [
+      -2.339577070793982,
+      -1.6312689113227314,
+      -1.2986066108776178,
+      -1.0578098784526218,
+      0.0,
+      0.0,
+      0.0,
+      1.0578098784526226,
+      1.2986066108776175,
+      1.6312689113227317,
+      2.339577070793982
+    ],
+    "null_multiplicity": 3,
+    "tags": []
+  },
+  "lemmas": {
+    "lemma1": true,
+    "lemma2": true,
+    "lemma3": true,
+    "lemma4": true,
+    "violations": {
+      "null_multiplicity": "3",
+      "pairing_deviation": "8.881784197001252e-16",
+      "containment_deviation": "8.881784197001252e-16",
+      "block_residual": "3.190080460392629e-17",
+      "block_eigen_deviation": "1.3322676295501878e-15"
+    }
+  }
+}
+"""
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def assert_same_json_text(text, golden):
+    """The golden's text with its numbers to 1e-9: roundoff in an eigensolve may differ."""
+    assert NUMBER.sub("#", text) == NUMBER.sub("#", golden)
+    for got, want in zip(NUMBER.findall(text), NUMBER.findall(golden)):
+        assert math.isclose(float(got), float(want), rel_tol=1e-9, abs_tol=1e-12), (got, want)
+
+
+class TestGoldenJson:
+    @pytest.mark.parametrize("argv, golden", [
+        (["--family", "n8", "--k", "2", "--v1", "2.0"], PST_N8_K2),
+        (["--family", "n11", "--k", "1", "--v1", "2.0"], PST_N11_K1),
+    ])
+    def test_design_pst(self, workdir, argv, golden):
+        # closed forms in Python floats: the same bytes on every platform
+        assert run(["design", "pst", *argv, "--out", "pst.json"]) == 0
+        assert (workdir / "pst.json").read_text() == golden
+
+    def test_design_pgt(self, workdir):
+        spec_file = write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+        assert run(["design", "pgt", "--spec", spec_file, "--epsilon", "1e-3",
+                    "--tmax", "2e5", "--out", "pgt.json"]) == 0
+        assert_same_json_text((workdir / "pgt.json").read_text(), PGT_N11)
+
+    def test_lemma_block(self, workdir):
+        spec_file = write_spec(workdir / "sym2.json", chains.spec_from_dict(
+            {"symmetric": {"k": 2, "v": [1.1, 0.7, 1.3], "g": [0.8, 1.2]}}))
+        assert run(["spectrum", spec_file, "--verify-lemmas", "--out", "spectrum.json"]) == 0
+        assert_same_json_text((workdir / "spectrum.json").read_text(), SPECTRUM_SYM2)
 
 
 class TestSpectrumCommand:

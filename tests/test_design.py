@@ -1,5 +1,6 @@
 """Tests for PST inverse designs, the dimerized bound and PGT search."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -110,6 +111,20 @@ class TestPstN11:
         d = design.design_pst_n11(1, 2.0)
         trace = dynamics.transfer_probability(d.chain(), times)
         assert np.max(np.abs(series.probability(times) - trace.probability)) < 1e-10
+
+
+class TestPositivityCheck:
+    @pytest.mark.parametrize("family, k, v1", [("n8", 1, 1.5811388300841898),
+                                               ("n8", 4, 1.9148542155126764),
+                                               ("n11", 8, 1.8957741773596413)])
+    def test_rounding_at_the_interval_edge(self, family, k, v1):
+        # v1^2 lies inside the open interval, but a derived square rounds to <= 0
+        lo, hi = design.feasible_interval(family, k)
+        assert lo < v1 * v1 < hi
+        with pytest.raises(InfeasibleDesignError, match="derived squared couplings not all "
+                           f"positive for k={k}, v1={v1:g}") as err:
+            design.design_pst(family, k, v1)
+        assert err.value.interval == (lo, hi)
 
 
 class TestChainLayout:
@@ -252,6 +267,6 @@ class TestPgtSearch:
 
     def test_to_dict(self):
         series = probability_closed_form_pst("n8", 1)
-        payload = design.pgt_search(series, 1e-6, 10.0).to_dict()
+        payload = dataclasses.asdict(design.pgt_search(series, 1e-6, 10.0))
         assert payload["reached"] is True
         assert payload["epsilon"] == 1e-6

@@ -1,6 +1,7 @@
 """Tests for time evolution, cosine series and peak searches."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from oracles import candidates_full_mask, dimerized_chain, peak_search, write_trace_csv
+from oracles import (candidates_full_mask, dimerized_chain, peak_search, scan_chunks,
+                     write_trace_csv)
 from qstc import chains, design, dynamics
 from qstc.errors import NumericalError, UnsupportedInputError, ValidationError
 
@@ -390,6 +392,41 @@ class TestPeakSearch:
         with pytest.raises(UnsupportedInputError):
             dynamics.scan_size(2.0, 1e300)
         assert dynamics.scan_size(1.0, 1e18) == math.ceil(8e18 / math.pi) + 1
+
+
+class TestScanChunks:
+    @pytest.mark.parametrize("chunk", [dynamics.SCAN_CHUNK, 97, 5])
+    @settings(max_examples=100, deadline=None)
+    @given(members=st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                                      st.floats(min_value=0.0, max_value=1.0),
+                                      st.booleans()), min_size=1, max_size=12))
+    def test_streamed_chunks_match_segment_table(self, chunk, members):
+        # (full segments, fraction of a segment, skipped by beat) per member: n - 2
+        # is full * chunk plus up to chunk - 1, so the last segment has 2 to chunk + 1 samples
+        n = np.array([2 + full * chunk + int(frac * (chunk - 1)) for full, frac, _ in members])
+        skipped = np.array([skip for _, _, skip in members])
+        per = np.where(skipped, 0, -(-(n - 1) // chunk))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "SCAN_CHUNK", chunk)
+            streamed = list(dynamics._chunks(n, np.flatnonzero(~skipped)))
+            table = scan_chunks(n, per)
+        assert len(streamed) == len(table)
+        for got, want in zip(streamed, table):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_memory_does_not_grow_with_t_max(self):
+        # a one-row N = 11 scan of 5e10 samples holds one segment entry, not 8e5
+        series = dynamics.chain_series(chains.homogeneous_chain(11))
+        f, c = np.array([series.frequencies]), np.array([series.coefficients])
+        scan = dynamics.scan_candidates(f, c, 1e10)
+        tracemalloc.start()
+        try:
+            next(scan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestWindowMaxima:

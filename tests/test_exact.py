@@ -133,7 +133,7 @@ class TestClassification:
     def test_cyclotomic_degrees_sum(self):
         # factor degrees partition deg q = k + 2
         for k in range(0, 25):
-            assert sum(exact.cyclotomic_factor_degrees(k)) == k + 2
+            assert sum(exact.char_poly_report(k).rational_degrees) == k + 2
 
 
 class TestNumberTheory:
@@ -181,9 +181,11 @@ class TestCharPolyReport:
         assert sum(report.rational_degrees) == report.k + 2
 
     def test_rational_degrees_match_prediction(self):
-        for k in (1, 5, 9, 15, 20):
+        # the linear factor y - 1, and one factor of degree phi(n)/2 per divisor n >= 3 of 2m
+        for k in range(0, exact.K_CAP + 1):
             report = exact.char_poly_report(k)
-            assert report.rational_degrees == exact.cyclotomic_factor_degrees(k)
+            predicted = [1] + [sy.totient(n) // 2 for n in sy.divisors(2 * (k + 2)) if n >= 3]
+            assert report.rational_degrees == tuple(sorted(predicted))
             assert report.certification == "proved"
 
     @pytest.mark.parametrize("k", [*range(0, 31), 50, 75, 100])
