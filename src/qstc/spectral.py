@@ -52,10 +52,17 @@ def _dense(h):
 
 
 def eigenvalues(h):
-    """Eigenvalues of a symmetric matrix, ascending, by one ``eigvalsh`` call."""
+    """Eigenvalues of a symmetric matrix, ascending, by one ``eigvalsh`` call.
+
+    The solver sees the matrix divided by the power of two that brings its
+    largest |entry| into [1/2, 1); LAPACK is not exactly equivariant under
+    power-of-two scaling (its null modes can differ in the last bits), so this
+    makes the matrix times 2^j give exactly the eigenvalues times 2^j.
+    """
     mat = _dense(h)
+    _, exp = np.frexp(np.max(np.abs(mat), initial=0.0))
     try:
-        return np.linalg.eigvalsh(mat)
+        return np.ldexp(np.linalg.eigvalsh(np.ldexp(mat, -exp)), exp)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigensolver failed on matrix {_fingerprint(mat)}: {exc}"
