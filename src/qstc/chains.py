@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (UnsupportedInputError, ValidationError, check_keys, load_json, read_value,
-                     write_json)
+from .errors import UnsupportedInputError, ValidationError, check_keys, load_json, read_value
 
 
 def _check_couplings(name, values, expected_len):
@@ -196,15 +195,6 @@ def homogeneous_chain(n, coupling=1.0):
 # ---------------------------------------------------------------------------
 
 
-def spec_to_dict(spec):
-    return {
-        "n_cells": spec.n_cells,
-        "t": list(spec.t),
-        "w": list(spec.w),
-        "g": list(spec.g),
-    }
-
-
 def spec_from_dict(data):
     """Parse the JSON chain-spec schema.
 
@@ -248,7 +238,3 @@ def spec_from_dict(data):
 
 def load_spec(path):
     return spec_from_dict(load_json(path, "chain spec"))
-
-
-def save_spec(spec, path):
-    write_json(spec_to_dict(spec), path)

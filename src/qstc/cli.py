@@ -2,9 +2,10 @@
 
 Subcommands map one-to-one onto library modules: ``spectrum``, ``evolve``,
 ``design`` (pst / bound / pgt), ``optimize``, ``glue`` and ``sequences``.
-Every invocation writes a run manifest (JSON) recording the command, resolved
-inputs, output files, wall time and any error, so results can be reproduced
-byte-for-byte.
+Every command line that argparse accepts writes a run manifest (JSON)
+recording the command, resolved inputs, output files, seed, wall time and any
+error, so results can be reproduced byte-for-byte; one it rejects exits 2
+first.
 
 Exit codes: 0 success, 2 bad input, 3 numerical failure, 4 infeasible design.
 """
@@ -51,14 +52,12 @@ def _json_out(payload, path):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (summary_payload, output_paths) and
-# the manifest records the summary's "seed", if it has one
+# subcommand implementations; each returns its manifest fields: "outputs", the
+# paths it wrote, and for optimize the "seed" of its problems
 # ---------------------------------------------------------------------------
 
 
 def _cmd_spectrum(args):
-    import numpy as np
-
     from . import chains, spectral
 
     spec = chains.load_spec(args.spec_file)
@@ -83,8 +82,7 @@ def _cmd_spectrum(args):
     if args.exact:
         payload["exact"] = exact_payload
     outputs = _json_out(payload, args.out)
-    evs = np.asarray(payload["spectrum"]["eigenvalues"])
-    print(f"N={spec.n}  eigenvalues in [{evs.min():.6g}, {evs.max():.6g}]  "
+    print(f"N={spec.n}  eigenvalues in [{lam[0]:.6g}, {lam[-1]:.6g}]  "
           f"null multiplicity {payload['spectrum']['null_multiplicity']}")
     if "lemmas" in payload:
         lem = payload["lemmas"]
@@ -92,7 +90,7 @@ def _cmd_spectrum(args):
     if "exact" in payload:
         ex = payload["exact"]
         print(f"exact: max factor degree {ex['max_degree']}  sequence {ex['sequence']}")
-    return payload, outputs
+    return {"outputs": outputs}
 
 
 def _cmd_evolve(args):
@@ -113,18 +111,17 @@ def _cmd_evolve(args):
         outputs.append(args.out)
     t_star, p_star = trace.peak
     print(f"peak: t*={t_star:.12g}  P*={p_star:.12g}")
-    return {"peak": {"t": t_star, "P": p_star}, "samples": args.samples}, outputs
+    return {"outputs": outputs}
 
 
 def _cmd_design_pst(args):
     from . import design
 
     d = design.design_pst(args.family, args.k, args.v1)
-    payload = dataclasses.asdict(d)
-    outputs = _json_out(payload, args.out)
+    outputs = _json_out(dataclasses.asdict(d), args.out)
     pairs = ", ".join(f"{k}={v:.12g}" for k, v in d.couplings.items())
     print(f"{d.family} k={d.k} v1={d.v1:g}: {pairs}")
-    return payload, outputs
+    return {"outputs": outputs}
 
 
 def _cmd_design_bound(args):
@@ -132,7 +129,7 @@ def _cmd_design_bound(args):
 
     value = design.dimerized_upper_bound(args.w)
     print(f"P_up({args.w:g}) = {value:.15g}")
-    return {"w": args.w, "P_up": value}, []
+    return {"outputs": []}
 
 
 def _cmd_design_pgt(args):
@@ -141,14 +138,13 @@ def _cmd_design_pgt(args):
     spec = chains.load_spec(args.spec_file)
     series = dynamics.chain_series(spec)
     result = design.pgt_search(series, args.epsilon, args.tmax)
-    payload = dataclasses.asdict(result)
-    outputs = _json_out(payload, args.out)
+    outputs = _json_out(dataclasses.asdict(result), args.out)
     if result.reached:
         print(f"reached: t={result.t_found:.12g}  infidelity={result.best_infidelity:.3g}")
     else:
         print(f"not reached: best t={result.best_t:.12g}  "
               f"infidelity={result.best_infidelity:.3g}")
-    return payload, outputs
+    return {"outputs": outputs}
 
 
 def _cmd_optimize(args):
@@ -186,7 +182,7 @@ def _cmd_optimize(args):
     else:
         print(f"best P = {result.best_p:.12g}  (-log10 infidelity {result.neg_log_infidelity:.3g}, "
               f"{result.evaluations} evaluations)")
-    return dict(payload, seed=problems[0].seed), outputs
+    return {"outputs": outputs, "seed": problems[0].seed}
 
 
 def _cmd_glue(args):
@@ -196,19 +192,10 @@ def _cmd_glue(args):
     result = spectral.glue(parent, args.bridge_v)
     child_ev = spectral.eigenvalues(chains.build_hamiltonian(result.child))
     parent_ev = spectral.eigenvalues(chains.build_hamiltonian(parent))
-    contained, worst = spectral.match_contained(parent_ev, child_ev,
-                                                tol=spectral.tolerance(child_ev))
-    payload = {
-        "parent_N": parent.n,
-        "child_N": result.child.n,
-        "bridge_v": args.bridge_v,
-        "child_spec": chains.spec_to_dict(result.child),
-        "containment_ok": bool(contained),
-        "containment_worst_deviation": float(worst),
-    }
-    outputs = _json_out(payload["child_spec"], args.out)
+    contained, _ = spectral.match_contained(parent_ev, child_ev, spectral.tolerance(child_ev))
+    outputs = _json_out(dataclasses.asdict(result.child), args.out)
     print(f"glued N={parent.n} -> N={result.child.n}; parent spectrum contained: {contained}")
-    return payload, outputs
+    return {"outputs": outputs}
 
 
 def _cmd_sequences(args):
@@ -234,7 +221,7 @@ def _cmd_sequences(args):
     print("k,N,sequence,poly")
     for row in rows:
         print(f"{row['k']},{row['N']},{row['sequence']},{row['poly']}")
-    return {"rows": rows}, outputs
+    return {"outputs": outputs}
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +334,7 @@ def main(argv=None):
         threads = _apply_threads(args.threads)
         if threads is not None:
             manifest["inputs"]["threads"] = threads
-        payload, outputs = args.func(args)
-        manifest["outputs"] = outputs
-        manifest["seed"] = payload.get("seed")
+        manifest.update(args.func(args))
         code = 0
     except Exception as exc:
         manifest["error"] = f"{type(exc).__name__}: {exc}"

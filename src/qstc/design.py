@@ -87,9 +87,12 @@ def _pst_design(family, k, v1, interval, spectrum, couplings, squares):
     coupling order after ``couplings``; one that is not positive is an
     :class:`InfeasibleDesignError`.
     """
-    if min(squares.values()) <= 0:
+    bad = [f"{name}^2 = {sq!r}" for name, sq in squares.items() if sq <= 0]
+    if bad:  # only rounding gets here: v1^2 passed the open-interval check
         raise InfeasibleDesignError(
-            f"derived squared couplings not all positive for k={k}, v1={v1:g}",
+            f"derived squared couplings not all positive for k={k}, v1={v1:g}: "
+            f"{', '.join(bad)}; v1^2 = {v1 * v1!r} lies within rounding of an end of "
+            f"the feasible interval ({interval[0]!r}, {interval[1]!r})",
             interval=interval,
         )
     roots = {name: math.sqrt(sq) for name, sq in squares.items()}

@@ -60,14 +60,6 @@ class Scenario(str, Enum):
 FIXED_PARAM = {Scenario.FIXED_W_OPT_G: "w", Scenario.ALPHA_OPT_TG: "alpha"}
 
 
-def _dimension(scenario, k):
-    if scenario == Scenario.FIXED_W_OPT_G:
-        return 1
-    if scenario == Scenario.ALPHA_OPT_TG:
-        return 2
-    return k + 4
-
-
 @dataclass(frozen=True)
 class OptProblem:
     """One box-bounded coupling-optimization task.
@@ -97,7 +89,8 @@ class OptProblem:
             )
         scenario = Scenario(self.scenario)
         object.__setattr__(self, "scenario", scenario)
-        dim = _dimension(scenario, self.k)
+        # g; (t, g); or t, w and one g per pendant
+        dim = {Scenario.FIXED_W_OPT_G: 1, Scenario.ALPHA_OPT_TG: 2}.get(scenario, self.k + 4)
         bounds = tuple(tuple(map(float, b)) for b in self.bounds)
         if any(len(b) != 2 for b in bounds):
             raise ValidationError(f"bounds must be (lo, hi) pairs, got {self.bounds}")
@@ -121,7 +114,8 @@ class OptProblem:
 
     @property
     def dimension(self):
-        return _dimension(self.scenario, self.k)
+        """Number of optimized variables: one ``bounds`` pair each."""
+        return len(self.bounds)
 
     @property
     def n(self):

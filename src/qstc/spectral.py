@@ -24,9 +24,7 @@ homogeneous families that glueing generates live in :mod:`qstc.exact`
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,34 +131,20 @@ def glue(parent, bridge_v):
 def match_contained(sub, full, tol):
     """Is every value of ``sub`` present in ``full``, multiplicities respected?
 
-    Returns ``(d <= tol, d)``: d is the smallest deviation at which the
-    order-preserving greedy matches every value (inf when ``full`` is too
-    short), one of the differences |full_j - sub_i|.  The greedy matches
-    whenever any matching within d exists, so d does not depend on ``tol``.
+    Returns ``(d <= tol, d)``: d is the smallest max-deviation |full_j - sub_i|
+    over all one-to-one matchings of ``sub`` into ``full`` (0 for an empty
+    ``sub``, inf when ``full`` is too short), so it does not depend on ``tol``.
+    Sorted values always have an order-preserving best matching, so one
+    recurrence finds d: after each sorted sub value, ``best[j]`` is the
+    smallest max-deviation matching the values so far into the first j of the
+    sorted ``full``.
     """
-    sub, full = (np.sort(np.asarray(v, dtype=float)).tolist() for v in (sub, full))
-    if len(sub) > len(full):
-        return False, math.inf
-    diffs = np.abs(np.subtract.outer(sub, full))
-    # each value needs one within d, so d is at least its distance to the nearest
-    least = float(diffs.min(axis=1).max(initial=0.0))
-
-    def matches(d):  # every comparison is a difference, as in diffs
-        j = 0
-        for x in sub:
-            # values more than d below x cannot match any later (sorted) value either
-            while j < len(full) and x - full[j] > d:
-                j += 1
-            if j == len(full) or full[j] - x > d:
-                return False
-            j += 1
-        return True
-
-    if matches(least):
-        return bool(least <= tol), least
-    # else the smallest larger difference that matches, by binary search
-    above = sorted(set(diffs[diffs > least].tolist()))
-    d = above[bisect.bisect_left(above, True, key=matches)]
+    sub, full = (np.sort(np.asarray(v, dtype=float)) for v in (sub, full))
+    best = np.zeros(len(full) + 1)
+    for dev in np.abs(np.subtract.outer(sub, full)):  # |full - x| for each sub value x
+        np.minimum.accumulate(np.maximum(best[:-1], dev), out=best[1:])
+        best[0] = np.inf
+    d = float(best[-1])
     return bool(d <= tol), d
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its manifest/exit-code contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from qstc import chains, cli, design, dynamics, exact, spectral
+from qstc.errors import write_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -25,7 +27,7 @@ def workdir(tmp_path, monkeypatch):
 
 
 def write_spec(path, spec):
-    chains.save_spec(spec, path)
+    write_json(dataclasses.asdict(spec), path)
     return str(path)
 
 
@@ -143,6 +145,40 @@ SPECTRUM_SYM2 = """\
   }
 }
 """
+# the child spec glue --out wrote while chains.spec_to_dict built it key by key
+GLUE_SYM2_CHILD = """\
+{
+  "n_cells": 7,
+  "t": [
+    1.1,
+    1.3,
+    0.7,
+    0.9,
+    1.1,
+    1.3,
+    0.7
+  ],
+  "w": [
+    0.7,
+    1.3,
+    1.1,
+    0.9,
+    0.7,
+    1.3,
+    1.1
+  ],
+  "g": [
+    0.8,
+    1.2,
+    1.2,
+    0.8,
+    0.8,
+    1.2,
+    1.2,
+    0.8
+  ]
+}
+"""
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
@@ -174,6 +210,13 @@ class TestGoldenJson:
             {"symmetric": {"k": 2, "v": [1.1, 0.7, 1.3], "g": [0.8, 1.2]}}))
         assert run(["spectrum", spec_file, "--verify-lemmas", "--out", "spectrum.json"]) == 0
         assert_same_json_text((workdir / "spectrum.json").read_text(), SPECTRUM_SYM2)
+
+    def test_glue_child_spec(self, workdir):
+        # the child's couplings are copies of the parent's and the bridge: exact bytes
+        spec_file = workdir / "sym2.json"
+        spec_file.write_text('{"symmetric": {"k": 2, "v": [1.1, 0.7, 1.3], "g": [0.8, 1.2]}}')
+        assert run(["glue", str(spec_file), "--bridge-v", "0.9", "--out", "child.json"]) == 0
+        assert (workdir / "child.json").read_text() == GLUE_SYM2_CHILD
 
 
 class TestSpectrumCommand:
@@ -212,7 +255,7 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("numbering, code", [("cell", 0), ("symmetric", 2)])
     def test_numbering_key(self, workdir, numbering, code):
         # "cell", written by earlier glue --out files, is the only numbering
-        data = dict(chains.spec_to_dict(chains.homogeneous_chain(8)), numbering=numbering)
+        data = dict(dataclasses.asdict(chains.homogeneous_chain(8)), numbering=numbering)
         spec_file = workdir / "spec.json"
         spec_file.write_text(json.dumps(data))
         assert run(["spectrum", str(spec_file)]) == code
@@ -769,6 +812,39 @@ class TestManifest:
         assert run(["optimize", "--config", str(cfg)]) == 0
         manifest = json.loads((workdir / "qstc-manifest.json").read_text())
         assert manifest["seed"] == 4
+
+    OPTIMIZE = {"scenario": "fixed_w_opt_g", "k": 2, "budget": 150, "T": 30.0}
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["spectrum", "n11.json", "--verify-lemmas", "--out", "spectrum.json"], None),
+        (["spectrum", "n11.json"], None),
+        (["evolve", "n11.json", "--tmax", "10", "--samples", "100", "--out", "trace.csv"], None),
+        (["design", "pst", "--family", "n11", "--k", "1", "--v1", "2.0", "--out", "pst.json"],
+         None),
+        (["design", "bound", "--w", "0.8"], None),
+        (["design", "pgt", "--spec", "n11.json", "--epsilon", "0.05", "--tmax", "1000",
+          "--out", "pgt.json"], None),
+        (["optimize", "--config", "single.json", "--out", "opt.json", "--out-csv", "opt.csv"], 4),
+        (["optimize", "--config", "sweep.json", "--out-csv", "sweep.csv"], 6),
+        (["glue", "n11.json", "--out", "n23.json"], None),
+        (["sequences", "--k-max", "3", "--out", "rows.json"], None),
+    ])
+    def test_fields_of_every_subcommand(self, workdir, argv, seed):
+        # outputs are exactly the files the command wrote, and only optimize has a seed
+        write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+        (workdir / "single.json").write_text(json.dumps(
+            dict(self.OPTIMIZE, seed=4, fixed_params={"w": 0.7})))
+        (workdir / "sweep.json").write_text(json.dumps(
+            dict(self.OPTIMIZE, seed=6, sweep={"w": [0.7, 0.9]})))
+        before = set(os.listdir(workdir))
+        assert run(argv) == 0
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert list(manifest) == ["command", "tool_version", "inputs", "outputs", "seed",
+                                  "wall_time", "error"]
+        assert sorted(manifest["outputs"]) == sorted(
+            set(os.listdir(workdir)) - before - {"qstc-manifest.json"})
+        assert manifest["seed"] == seed
+        assert manifest["error"] is None
 
     def test_threads_flag(self, workdir, monkeypatch):
         for var in THREAD_VARS:  # restored after the test, whatever the flag sets

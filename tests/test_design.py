@@ -122,9 +122,14 @@ class TestPositivityCheck:
         lo, hi = design.feasible_interval(family, k)
         assert lo < v1 * v1 < hi
         with pytest.raises(InfeasibleDesignError, match="derived squared couplings not all "
-                           f"positive for k={k}, v1={v1:g}") as err:
+                           f"positive for k={k}, v1={v1:g}: ") as err:
             design.design_pst(family, k, v1)
         assert err.value.interval == (lo, hi)
+        # the message names the square that is not positive, with its value, and
+        # says that v1^2 sits within rounding of the interval's end
+        assert str(err.value).endswith(
+            f": g2^2 = 0.0; v1^2 = {v1 * v1!r} lies within rounding of an end of the "
+            f"feasible interval ({lo!r}, {hi!r})")
 
 
 class TestChainLayout:

@@ -148,15 +148,16 @@ class TestMatchContained:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        sub=st.lists(st.integers(-20, 20), min_size=1, max_size=4),
-        extra=st.lists(st.integers(-20, 20), max_size=4),
+        sub=st.lists(st.integers(-5, 5), max_size=4),
+        extra=st.lists(st.integers(-5, 5), max_size=4),
         noise=st.integers(0, 2**32 - 1),
     )
     def test_smallest_deviation_of_any_matching(self, sub, extra, noise):
-        # brute force over every injective assignment of sub to full
+        # brute force over every injective assignment of sub to full; about half
+        # the values of full are exact, so both lists may repeat values
         rng = np.random.default_rng(noise)
-        full = [x + rng.uniform(-1e-3, 1e-3) for x in sub + extra]
-        best = min(max(abs(full[j] - x) for x, j in zip(sub, perm))
+        full = [x + rng.uniform(-1e-3, 1e-3) * rng.integers(2) for x in sub + extra]
+        best = min(max((abs(full[j] - x) for x, j in zip(sub, perm)), default=0.0)
                    for perm in itertools.permutations(range(len(full)), len(sub)))
         ok, d = spectral.match_contained(sub, full, 0.0)
         assert d == best and ok == (best == 0.0)
