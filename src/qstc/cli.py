@@ -157,23 +157,22 @@ def _cmd_optimize(args):
 
     if "sweep" in config:
         results = qopt.sweep(problems, budget, warm_start=warm_start)
-        payload = {
-            "sweep": [
-                (res.to_dict() if res is not None else {"error": err})
-                for res, err in results
-            ]
-        }
     else:
         result = qopt.optimize(problems[0], budget)
         results = [(result, None)]
-        payload = result.to_dict()
     rows = qopt.sweep_csv_rows(results)
     outputs = []
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
         outputs.append(args.out_csv)
-    outputs += _json_out(payload, args.out)
+    if args.out:  # only --out reads the payload, trajectories included
+        if "sweep" in config:
+            payload = {"sweep": [res.to_dict() if res is not None else {"error": err}
+                                 for res, err in results]}
+        else:
+            payload = result.to_dict()
+        outputs += _json_out(payload, args.out)
     if "sweep" in config:
         ok = sum(1 for res, _ in results if res is not None)
         print(f"sweep: {ok}/{len(results)} problems solved")

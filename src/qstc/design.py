@@ -73,7 +73,7 @@ def _check_feasible(family, k, v1):
     lo, hi = feasible_interval(family, k)
     if not lo < v1 * v1 < hi:
         raise InfeasibleDesignError(
-            f"v1^2 = {v1 * v1:g} outside the feasible interval ({lo:g}, {hi:g}) "
+            f"v1^2 = {v1 * v1!r} outside the feasible interval ({lo!r}, {hi!r}) "
             f"for family {family}, k={k}",
             interval=(lo, hi),
         )

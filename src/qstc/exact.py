@@ -24,12 +24,12 @@ multiplied; the published degree column itself comes from ``table_degree``.
 The divisors, totients and prime factors these identities need come from the
 integer helpers below, so importing this module does not load sympy.
 
-The solvable families S5, S8, S14 and S44 are catalogued here once: their
-base lengths in ``_SEQUENCE_LENGTHS``, the family tag of a length in
-``classify_sequence`` and the nested-radical eigenvalues of a catalogued
-length in ``sequence_tags``, which ``spectrum --exact`` writes.  Only
-``sequence_tags`` prints radicals, so it alone imports sympy, when called;
-``_sequence_bases`` builds the families' base spectra there.
+The solvable families S5, S8, S14 and S44 are catalogued here once, in
+``_FAMILIES``, keyed by the odd part of m = k+2: ``classify_sequence`` tags a
+length with its family, ``table_degree`` counts the families' factors as
+quadratic, and ``sequence_tags`` builds the nested-radical eigenvalues of a
+catalogued length by their index j, which ``spectrum --exact`` writes.  Only
+``sequence_tags`` prints radicals, so it alone imports sympy, when called.
 """
 
 from __future__ import annotations
@@ -184,16 +184,22 @@ def _odd_part(n):
     return n
 
 
+# The catalogued solvable families, keyed by conductor: the odd part u of
+# m = k+2.  Each value is the family's shortest length N0 = 3*m0 - 1, whose
+# base is m0 = max(u, 2); every glueing step doubles m.
+_FAMILIES = {1: 5, 3: 8, 5: 14, 15: 44}
+
+
 def table_degree(k):
     """Highest residual factor degree after peeling catalogued radicals.
 
     Convention used by the published degree column: a factor whose roots
     belong to one of the catalogued square-root doubling families (conductor
-    odd part 1, 3, 5 or 15) counts as quadratic; a factor reachable by a
-    tower of angle trisections over such a family (odd part a higher power of
-    3) counts as cubic; every other factor counts with its rational degree.
-    The result is floored at 2 because eigenvalues are square roots of the
-    polynomial's roots.
+    odd part a key of ``_FAMILIES``) counts as quadratic; a factor reachable
+    by a tower of angle trisections over such a family (odd part a higher
+    power of 3) counts as cubic; every other factor counts with its rational
+    degree.  The result is floored at 2 because eigenvalues are square roots
+    of the polynomial's roots.
     """
     m = k + 2
     worst = 2
@@ -201,7 +207,7 @@ def table_degree(k):
         if n < 3:
             continue
         u = _odd_part(n)
-        if u in (1, 3, 5, 15):
+        if u in _FAMILIES:
             reported = 2
         elif prime_factors(u) == [3]:
             reported = 3  # pure power of 3: trisection tower
@@ -213,67 +219,34 @@ def table_degree(k):
     return worst
 
 
-# Length N0 of the shortest chain of each catalogued family.
-_SEQUENCE_LENGTHS = (5, 8, 14, 44)
-
-
-def _sequence_bases(n0):
-    """Base values of theta (squared eigenvalue minus 3) for the family of N0."""
-    import sympy as sy
-
-    sqrt5 = sy.sqrt(5)
-    bases = {
-        5: [sy.Integer(0), sy.Integer(-2)],
-        8: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)],
-        14: [
-            sy.Integer(-2),
-            sy.Rational(-1, 2) + sqrt5 / 2,
-            sy.Rational(-1, 2) - sqrt5 / 2,
-            sy.Rational(1, 2) + sqrt5 / 2,
-            sy.Rational(1, 2) - sqrt5 / 2,
-        ],
-        # For N=44 the eight deepest values carry linked signs: the sign inside
-        # the inner radical is opposite to the sign of the sqrt(5) term.
-        44: [sy.Integer(-2), sy.Integer(-1), sy.Integer(1)]
-        + [sy.Rational(s0, 2) + s1 * sqrt5 / 2 for s0 in (-1, 1) for s1 in (1, -1)]
-        + [
-            s0 * (sy.Integer(1) + s1 * sqrt5 + s2 * sy.sqrt(30 - s1 * 6 * sqrt5)) / 4
-            for s0 in (1, -1)
-            for s1 in (1, -1)
-            for s2 in (1, -1)
-        ],
-    }
-    return bases[n0]
-
-
 def _family(k):
-    """(N0, level) with 3k+5 = 2^level*(N0+1)-1 for a catalogued N0, else None."""
-    n = 3 * k + 5
-    for n0 in _SEQUENCE_LENGTHS:
-        level, length = 0, n0
-        while length < n:
-            level, length = level + 1, 2 * length + 1
-        if length == n:
-            return n0, level
-    return None
+    """(N0, m0) of the catalogued family with k+2 = 2^level*m0, else None."""
+    m = k + 2
+    if m < 2:  # shorter than every base; the odd part of 0 is undefined
+        return None
+    u = _odd_part(m)
+    return (_FAMILIES[u], max(u, 2)) if u in _FAMILIES else None
 
 
 def classify_sequence(k):
-    """Family tag ('S5', ...) if 3k+5 = 2^m*(N0+1)-1 for a catalogued N0."""
+    """Family tag ('S5', ...) if 3k+5 = 2^level*(N0+1) - 1 for a catalogued N0."""
     family = _family(k)
     return None if family is None else f"S{family[0]}"
 
 
-def _dedupe(values, tol=1e-12):
-    out = []
-    floats = []
-    for expr in values:
-        x = float(expr.evalf(30))
-        if any(abs(x - y) < tol for y in floats):
-            continue
-        out.append(expr)
-        floats.append(x)
-    return out
+def _base_thetas(m0):
+    """theta_j = 2 cos(pi j / m0) for j = 1..m0, in radicals, in j order."""
+    import sympy as sy
+
+    if m0 != 15:
+        return [2 * sy.cos(sy.pi * j / m0) for j in range(1, m0 + 1)]
+    # sympy leaves cos(pi j / 15) unevaluated for j coprime to 15, so the S44
+    # base is written out for j = 1..7 and mirrored: theta_(15-j) = -theta_j.
+    r5 = sy.sqrt(5)
+    a, b = sy.sqrt(30 + 6 * r5), sy.sqrt(30 - 6 * r5)
+    half = [(r5 - 1 + a) / 4, (r5 + 1 + b) / 4, (r5 + 1) / 2, (1 - r5 + a) / 4,
+            sy.Integer(1), (r5 - 1) / 2, (b - r5 - 1) / 4]
+    return half + [-th for th in reversed(half)] + [sy.Integer(-2)]
 
 
 def sequence_tags(k):
@@ -281,23 +254,28 @@ def sequence_tags(k):
 
     Returns the N eigenvalues as nested-radical strings in ascending order
     (negatives, the k+1 zeros, positives), or None when 3k+5 belongs to no
-    catalogued family.  The eigenvalues are +/- sqrt(3 + theta) with theta
-    running over the spectrum of J - 3I (:func:`chains.jacobi_matrix`); one
-    glueing step doubles that matrix and extends theta by +/- sqrt(2 + theta).
+    catalogued family.  With m = k+2, the positives are sqrt(3 + theta_j) for
+    j = m, ..., 1, where theta_j = 2 cos(pi j / m) runs over the spectrum of
+    J - 3I (:func:`chains.jacobi_matrix`).  One glueing step doubles m: at 2m,
+    theta_(2j) is theta_j at m, and an odd j takes +sqrt(2 + theta_j) when
+    j <= m and -sqrt(2 + theta_(2m-j)) when j > m.
     """
     family = _family(k)
     if family is None:
         return None
     import sympy as sy
 
-    n0, level = family
-    thetas = _sequence_bases(n0)
-    for _ in range(level):
-        thetas = _dedupe(thetas + [s * sy.sqrt(2 + th) for th in thetas for s in (1, -1)])
-    if len(thetas) != k + 2:
-        raise NumericalError(f"S{n0} recursion gave {len(thetas)} distinct values for k={k}")
-    positives = sorted((sy.sqrt(3 + th) for th in thetas), key=lambda e: float(e.evalf(30)))
-    tags = [sy.sstr(e) for e in positives]
+    m = family[1]
+    thetas = _base_thetas(m)  # thetas[j - 1] is theta_j
+    while m < k + 2:
+        thetas = [
+            thetas[j // 2 - 1] if j % 2 == 0
+            else sy.sqrt(2 + thetas[j - 1]) if j <= m
+            else -sy.sqrt(2 + thetas[2 * m - j - 1])
+            for j in range(1, 2 * m + 1)
+        ]
+        m *= 2
+    tags = [sy.sstr(sy.sqrt(3 + th)) for th in reversed(thetas)]
     return [f"-{t}" for t in reversed(tags)] + ["0"] * (k + 1) + tags
 
 

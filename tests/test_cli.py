@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qstc import chains, cli, design, dynamics, exact, spectral
+from qstc import chains, cli, design, dynamics, exact, optimize, spectral
 from qstc.errors import write_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -558,6 +558,30 @@ class TestOptimizeCommand:
             csvs.append(csv.read_bytes())
         assert csvs[0] == csvs[1]
         assert csvs[0].decode().splitlines()[1].startswith("fixed_w_opt_g,2,11,50,0.8,")
+
+    def test_csv_only_run_builds_no_json_payload(self, workdir, monkeypatch):
+        # only --out reads the to_dict payload, so a run with --out-csv alone
+        # never builds it and still writes the same CSV
+        base = {"scenario": "fixed_w_opt_g", "k": 2, "seed": 9, "budget": 300,
+                "fixed_params": {"w": 0.8}}
+        for name, extra in (("single", {"T": 50.0}), ("sweep", {"sweep": {"T": [50.0]}})):
+            (workdir / f"{name}.json").write_text(json.dumps({**base, **extra}))
+
+        def csvs(tag):
+            out = []
+            for name in ("single", "sweep"):
+                csv = workdir / f"{name}-{tag}.csv"
+                assert run(["optimize", "--config", f"{name}.json", "--out-csv", str(csv)]) == 0
+                out.append(csv.read_bytes())
+            return out
+
+        want = csvs("plain")
+
+        def refused(result):
+            raise AssertionError("OptResult.to_dict called without --out")
+
+        monkeypatch.setattr(optimize.OptResult, "to_dict", refused)
+        assert csvs("patched") == want
 
     def test_probability_above_one_is_numerical(self, workdir, monkeypatch):
         # the parameters are in bounds, so P > 1 is a numerical fault (exit 3)

@@ -113,6 +113,24 @@ class TestPstN11:
         assert np.max(np.abs(series.probability(times) - trace.probability)) < 1e-10
 
 
+class TestIntervalCheck:
+    @pytest.mark.parametrize("family, k, v1, text", [
+        ("n8", 1, 1.5811388300841895, "2.4999999999999996 outside the feasible interval "
+                                      "(2.5, 4.0)"),
+        ("n11", 2, 1.9926334924652143, "3.9705882352941173 outside the feasible interval "
+                                       "(3.9705882352941178, 11.5)"),
+    ], ids=["n8-k1", "n11-k2"])
+    def test_one_ulp_below_the_interval(self, family, k, v1, text):
+        # v1^2 is the float just below the open interval: the message shows
+        # both numbers exactly, so it cannot read as inside
+        lo, hi = design.feasible_interval(family, k)
+        assert v1 * v1 == math.nextafter(lo, 0)
+        with pytest.raises(InfeasibleDesignError) as err:
+            design.design_pst(family, k, v1)
+        assert err.value.interval == (lo, hi)
+        assert str(err.value) == f"v1^2 = {text} for family {family}, k={k}"
+
+
 class TestPositivityCheck:
     @pytest.mark.parametrize("family, k, v1", [("n8", 1, 1.5811388300841898),
                                                ("n8", 4, 1.9148542155126764),

@@ -117,10 +117,23 @@ class TestReducedCharpoly:
             exact.reduced_charpoly_homogeneous(-1)
 
 
+def doubling_family(k):
+    """S<N0> if 3k+5 = 2^level*(N0+1) - 1 for a family base N0, else None."""
+    for n0 in (5, 8, 14, 44):
+        length = n0
+        while length < 3 * k + 5:
+            length = 2 * length + 1
+        if length == 3 * k + 5:
+            return f"S{n0}"
+    return None
+
+
 class TestClassification:
     def test_sequence_tags(self):
         for k in range(0, 31):
             assert exact.classify_sequence(k) == SEQUENCE_TAGS.get(k)
+        for k in range(-10, 3001):
+            assert exact.classify_sequence(k) == doubling_family(k), k
 
     def test_reported_degrees(self):
         assert [exact.table_degree(k) for k in range(1, 31)] == REPORTED_DEGREES

@@ -1,5 +1,6 @@
 """Tests for eigenvalues, glueing and the solvable-sequence spectra."""
 
+import hashlib
 import itertools
 import math
 
@@ -235,8 +236,43 @@ CATALOGUED = [
 ]
 
 
+# Frozen oracle: sha256 of "\n".join(exact.sequence_tags(k)) for every
+# catalogued k <= 100, recorded from an independent construction that deduped
+# and sorted each level by float value; it pins sympy's printed radicals byte
+# for byte.
+TAG_DIGESTS = {
+    0: "f4bca9dfd81d8a510f70a69c284094f55ba2058e6ef7c50df9a6c3837a6bfe9c",
+    1: "d1a60eed4278ec814ae5761c7d8f27432660a96efe6293beb9bf5ad375294992",
+    2: "bd1e961b76ac2e9226ea7fd4055af018325d1282455eaae1d6afc435a29b3d2e",
+    3: "d4dfac3bd9a21a42be5d40df91f8b7e4ac0a5f05fcee74a8d0559f346454a17b",
+    4: "4d6f9b7fa6af92392bac16c983d6d4ef9069b9ee65e1336ddb7e47d1ad910847",
+    6: "f4e511ab5124e2a7ed9bb23e753cc0acae2a10fca86f4347ba964ffa1fc1edf7",
+    8: "2e657b554b8772ec2ba05653c4f3126ddd529a869c10f211e05f52514f04108d",
+    10: "ff9385d72b148336b8503672b4ecff973e4a60b4df02480a4033db82818a1656",
+    13: "46f68c858ccf64307d90ebb53d7a08d8789f29ef1cde7902c2af93a9d448534e",
+    14: "8cf43508198db4e8aedbdef9ed47ad051e04389b418abe2b72c4e8880a47affe",
+    18: "d828e9714b9c702f5010322a2e600d44a77e32321fee4315047eaf4c43b1d65e",
+    22: "d66c42572e9b1ee950cc9318d61ec57911873a52c7285b56acc0de487ee9fe95",
+    28: "e9b1a29ecee5c3b02162deb64f8eadce3a226341d4aedc208dea091a40ac1d49",
+    30: "35f6c7605aae65b6fa7b6debab51080e55f3fcd11f5f3dea114b193568195c7a",
+    38: "cad09c91f7d1d8b7d0245a3e5c41d19f11176c8616f3dd70fa1f21f03ad1be67",
+    46: "327595fb1fc306d523895b820a910b45cc92e06d0babfff17889f8f6f8e66465",
+    58: "0795b48268b04849078d6d2471ae88bc76c0375e591c1adcc905b6a3914f8ad0",
+    62: "ec0cb3d53aa56b69e531ae8cdd366125a2d505bc26454be507a64688173d2317",
+    78: "e20877a6c73ac2497cea9b86b802460f7c07d4e52893c3daf8acec79364a06de",
+    94: "d1a6e3f3a38491a636ec87aabeec676d20dd668c2a450be0f37be11b7f825ed0",
+}
+
+
 class TestSequenceSpectrum:
     """The nested-radical spectra of the solvable families (``exact.sequence_tags``)."""
+
+    def test_golden_digests(self):
+        catalogued = [k for k in range(101) if exact.classify_sequence(k) is not None]
+        assert catalogued == list(TAG_DIGESTS)
+        for k, digest in TAG_DIGESTS.items():
+            text = "\n".join(exact.sequence_tags(k))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, k
 
     def test_base_lengths(self):
         for n0 in (5, 8, 14, 44):
@@ -266,8 +302,9 @@ class TestSequenceSpectrum:
         assert exact.sequence_tags(5) is None
 
     def test_negative_level_rejected(self):
-        # k = -1 would be N = 2, shorter than every family base
-        assert exact.sequence_tags(-1) is None
+        # N = 3k+5 <= 2 is shorter than every family base; k = -2 has k+2 = 0
+        for k in (-1, -2, -3, -10):
+            assert exact.sequence_tags(k) is None
 
     def test_to_dict(self):
         lam = spectral.eigenvalues(chains.build_hamiltonian(chains.homogeneous_chain(5)))
