@@ -13,8 +13,11 @@ Exit codes: 0 success, 2 bad input, 3 numerical failure, 4 infeasible design.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import math
 import os
+import shutil
 import sys
 import time
 
@@ -93,25 +96,49 @@ def _cmd_spectrum(args):
     return {"outputs": outputs}
 
 
-def _cmd_evolve(args):
-    import numpy as np
+@contextlib.contextmanager
+def _replaced_on_success(path):
+    """A text file that replaces the file at ``path`` only if the block completes.
 
+    It is written beside its target (through any symlink) and moved into
+    place by ``os.replace``, so a run that fails leaves ``path`` as it was.
+    It takes the mode of the file it replaces, or, for a new file, 0o666
+    less the umask, as ``open`` creates one.  A target that exists but is no
+    regular file, such as /dev/stdout, is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(target)
+    partial = os.path.join(head, f".{tail}.{os.getpid()}.part")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            yield fh
+        if os.path.exists(target):
+            shutil.copymode(target, partial)
+        os.replace(partial, target)
+    except BaseException:
+        if os.path.exists(partial):
+            os.unlink(partial)
+        raise
+
+
+def _cmd_evolve(args):
     from . import chains, dynamics
 
     if args.samples < 2:
         raise ValidationError(f"samples must be >= 2, got {args.samples}")
-    if not 0 < args.tmax < np.inf:
+    if args.samples >= 2**63:  # as for a scan
+        raise UnsupportedInputError(f"samples must fit in an int64, got {args.samples}")
+    if not 0 < args.tmax < math.inf:
         raise ValidationError(f"tmax must be positive and finite, got {args.tmax}")
-    spec = chains.load_spec(args.spec_file)
-    times = np.linspace(0.0, args.tmax, args.samples)
-    trace = dynamics.transfer_probability(spec, times)
-    outputs = []
-    if args.out:
-        trace.to_csv(args.out)
-        outputs.append(args.out)
-    t_star, p_star = trace.peak
+    series = dynamics.chain_series(chains.load_spec(args.spec_file))
+    with _replaced_on_success(args.out) if args.out else contextlib.nullcontext() as fh:
+        t_star, p_star = dynamics.write_trace(series, args.tmax, args.samples, fh)
     print(f"peak: t*={t_star:.12g}  P*={p_star:.12g}")
-    return {"outputs": outputs}
+    return {"outputs": [args.out] if args.out else []}
 
 
 def _cmd_design_pst(args):

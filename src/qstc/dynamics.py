@@ -36,17 +36,21 @@ the members and maxima that cannot reach them.
 The averaged transmission fidelity is f = 1/2 + sqrt(P)/3 + P/6 with the
 controllable phase set to its optimal value.
 
-:meth:`TransferTrace.to_csv` writes a trace as exactly the ``'%.15g'`` text
-of each value.  numpy computes the 15 digits of every value in ``%g``'s
-fixed-notation range 1e-4 <= v < 1e15, from Dekker's exact product of v and
-a power of ten (Dekker, Numer. Math. 18, 224 (1971)); Python's own ``%``
-formats the rest (zero, negatives, smaller and larger values, inf, nan) and
-the rare values within 1e-6 of a rounding tie.
+:func:`write_trace` streams a sampled trace: it builds the grid of
+``np.linspace`` bit for bit, TRACE_BLOCK rows at a time, evaluates each block
+as :func:`transfer_probability` would, and writes each value as exactly its
+``'%.15g'`` text, so its memory does not grow with the sample count.  numpy
+computes the 15 digits of every value in ``%g``'s fixed-notation range
+1e-4 <= v < 1e15, from Dekker's exact product of v and a power of ten
+(Dekker, Numer. Math. 18, 224 (1971)); Python's own ``%`` formats the rest
+(zero, negatives, smaller and larger values, inf, nan) and the rare values
+within 1e-6 of a rounding tie.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +67,13 @@ NEWTON_STEPS = 8
 #: width B of the inner phasor table that samples a scan chunk: a power of two,
 #: about the square root of a typical scan's sample count
 PHASOR_BLOCK = 32
-#: rows of a trace whose text :meth:`TransferTrace.to_csv` builds at once; with
+#: rows of a trace whose text :func:`write_trace` builds at once; with
 #: 40 bytes per value, each working array of a block stays near 120 KB, small
 #: enough to be reused from the heap rather than mapped afresh for every block
 CSV_BLOCK = 1024
+#: rows of a trace that :func:`write_trace` evaluates at once, a multiple of
+#: CSV_BLOCK; fewer rows cost more per-call overhead than they save in memory
+TRACE_BLOCK = 8192
 
 
 def capped_probability(p):
@@ -99,19 +106,6 @@ class TransferTrace:
     probability: np.ndarray
     fidelity: np.ndarray
     peak: tuple
-
-    def to_csv(self, path):
-        """Write the trace as CSV with header t,P,f at 15 significant digits.
-
-        Every value's text is exactly ``'%.15g' % v``, built by
-        :func:`_csv_text` CSV_BLOCK rows at a time, so the text of at most
-        one block is held in memory.
-        """
-        columns = (self.times, self.probability, self.fidelity)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,P,f\n")
-            for start in range(0, len(self.times), CSV_BLOCK):
-                fh.write(_csv_text(np.column_stack([c[start:start + CSV_BLOCK] for c in columns])))
 
 
 def _split(x):
@@ -251,6 +245,53 @@ def transfer_probability(spec, times):
     return chain_series(spec).trace(times)
 
 
+def linspace_block(t_max, samples, start, stop):
+    """Samples start, ..., stop - 1 of ``np.linspace(0.0, t_max, samples)``, bit for bit.
+
+    For t_max > 0 and 2 <= samples <= 2^53: sample i is i * step, with
+    step = t_max / (samples - 1), or (i / (samples - 1)) * t_max when that
+    step underflows to 0, as linspace computes them; the last sample is t_max.
+    """
+    t_max = np.float64(t_max)
+    block = np.arange(start, stop, dtype=float)
+    step = t_max / (samples - 1)
+    if step == 0:  # a subnormal step
+        block /= samples - 1
+        block *= t_max
+    else:
+        block *= step
+    if stop == samples:
+        block[-1] = t_max
+    return block
+
+
+def write_trace(series, t_max, samples, out=None):
+    """P and f of ``series`` on ``np.linspace(0.0, t_max, samples)``, streamed.
+
+    The grid is sampled TRACE_BLOCK rows at a time (:func:`linspace_block`),
+    each block through :meth:`CosineSeries.trace`, so every value has the
+    bits that :func:`transfer_probability` gives on the whole grid.  If a text
+    file ``out`` is given, it gets the header ``t,P,f`` and each row as
+    exactly the ``'%.15g'`` text of its values, built by :func:`_csv_text`
+    CSV_BLOCK rows at a time.  Only one block is held, whatever ``samples``;
+    a block that fails stops the trace before its rows are written.
+
+    Returns (t*, P*) of the first best sample.
+    """
+    if out is not None:
+        out.write("t,P,f\n")
+    peak = None
+    for start in range(0, samples, TRACE_BLOCK):
+        block = series.trace(linspace_block(t_max, samples, start, min(start + TRACE_BLOCK, samples)))
+        if peak is None or block.peak[1] > peak[1]:
+            peak = block.peak
+        if out is not None:
+            columns = (block.times, block.probability, block.fidelity)
+            for row in range(0, len(block.times), CSV_BLOCK):
+                out.write(_csv_text(np.column_stack([c[row:row + CSV_BLOCK] for c in columns])))
+    return peak
+
+
 @dataclass(frozen=True)
 class CosineSeries:
     """P(t) = (sum_j c_j cos(f_j t))^2 with non-negative frequencies.
@@ -278,10 +319,18 @@ class CosineSeries:
         return self.amplitude(times) ** 2
 
     def trace(self, times):
-        """Sampled :class:`TransferTrace`, P through :func:`capped_probability`."""
+        """Sampled :class:`TransferTrace`, P through :func:`capped_probability`.
+
+        A largest phase f_max max|t| that overflows is an
+        :class:`UnsupportedInputError`, before any cosine is taken.
+        """
+        times = np.array(times, dtype=float)
+        f_max = float(max(self.frequencies, default=0.0))
+        t_far = float(np.max(np.abs(times), initial=0.0))
+        if f_max * t_far == math.inf:
+            raise UnsupportedInputError(f"phase f t overflows: f_max {f_max:g} at t = {t_far:g}")
         prob = capped_probability(self.probability(times))
         fid = fidelity_from_probability(prob)
-        times = np.array(times, dtype=float)
         for column in (times, prob, fid):
             column.flags.writeable = False
         best = int(np.argmax(prob))

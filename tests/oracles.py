@@ -34,7 +34,7 @@ member.
 ``factor_degrees`` factors an integer polynomial with sympy's general
 ``factor_list``, the reference for the product-identity certificate of
 ``exact.char_poly_report``; ``write_trace_csv`` is the per-row writer that
-``dynamics.TransferTrace.to_csv`` must match byte for byte.
+``dynamics.write_trace`` must match byte for byte.
 """
 
 import math

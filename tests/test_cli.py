@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -353,9 +354,75 @@ class TestEvolveCommand:
             return freqs, 1.5 * coeffs
 
         monkeypatch.setattr(dynamics, "jacobi_series", inflated)
-        assert run(["evolve", spec_file, "--tmax", "4", "--samples", "101"]) == 3
+        argv = ["evolve", spec_file, "--tmax", "4", "--samples", "101"]
+        assert run(argv) == 3
         manifest = json.loads((workdir / "qstc-manifest.json").read_text())
         assert manifest["error"].startswith("NumericalError: probability above 1")
+        # a failed run creates no --out file, and leaves one already there as it was
+        before = set(os.listdir(workdir))
+        assert run(argv + ["--out", "trace.csv"]) == 3
+        assert set(os.listdir(workdir)) == before
+        (workdir / "trace.csv").write_bytes(b"t,P,f\nearlier run\n")
+        assert run(argv + ["--out", "trace.csv"]) == 3
+        assert (workdir / "trace.csv").read_bytes() == b"t,P,f\nearlier run\n"
+        assert set(os.listdir(workdir)) == before | {"trace.csv"}
+
+    def test_out_is_replaced_as_open_writes_it(self, workdir):
+        # --out is replaced as open(path, "w") would write it: a new file gets
+        # 0o666 less the umask, an existing one keeps its mode, a symlink its
+        # target, and a device is written in place
+        spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
+        argv = ["evolve", spec_file, "--tmax", "10", "--samples", "100", "--out"]
+        umask = os.umask(0o022)
+        try:
+            assert run(argv + ["new.csv"]) == 0
+        finally:
+            os.umask(umask)
+        assert (workdir / "new.csv").stat().st_mode & 0o777 == 0o644
+        (workdir / "old.csv").write_text("earlier run\n")
+        (workdir / "old.csv").chmod(0o600)
+        (workdir / "link.csv").symlink_to("old.csv")
+        assert run(argv + ["link.csv"]) == 0
+        assert (workdir / "link.csv").is_symlink()
+        assert (workdir / "old.csv").read_bytes() == (workdir / "new.csv").read_bytes()
+        assert (workdir / "old.csv").stat().st_mode & 0o777 == 0o600
+        assert run(argv + [os.devnull]) == 0
+        assert sorted(os.listdir(workdir)) == ["link.csv", "n5.json", "new.csv", "old.csv",
+                                               "qstc-manifest.json"]
+
+    def test_samples_beyond_int64_rejected(self, workdir):
+        # as for a scan, a sample count that does not fit in an int64 is bad input
+        write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+        assert run(["evolve", "n11.json", "--tmax", "10", "--samples", str(10**20)]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("UnsupportedInputError")
+
+    def test_overflowing_phase_rejected(self, workdir, capsys):
+        # f t overflows at t_max = 1e308: bad input, not P = nan, and no warning
+        write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "n11.json", "--tmax", "1e308", "--samples", "100",
+                        "--out", "trace.csv"]) == 2
+        assert "Warning" not in capsys.readouterr().err
+        assert not (workdir / "trace.csv").exists()
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("UnsupportedInputError")
+
+    @pytest.mark.parametrize("samples, out", [(10**6, []), (2 * 10**5, ["--out", "trace.csv"])])
+    def test_memory_does_not_grow_with_samples(self, workdir, samples, out):
+        # the trace is evaluated and written block by block; holding it whole
+        # took 40 bytes per sample
+        write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+        argv = ["evolve", "n11.json", "--tmax", "10000", "--samples"]
+        assert run(argv + ["100", "--out", "warm.csv"]) == 0
+        tracemalloc.start()
+        try:
+            assert run(argv + [str(samples)] + out) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Tests for time evolution, cosine series and peak searches."""
 
+import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -110,28 +112,39 @@ class TestTransferProbability:
         with pytest.raises(ValidationError):
             dynamics.transfer_probability(spec, [0.0, np.inf])
 
-    def test_csv_format(self, tmp_path):
-        trace = dynamics.transfer_probability(chains.homogeneous_chain(5), [0.0, 1.0])
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().splitlines()
+    def test_csv_format(self):
+        out = io.StringIO()
+        dynamics.write_trace(dynamics.chain_series(chains.homogeneous_chain(5)), 1.0, 2, out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "t,P,f"
         assert len(lines) == 3
         assert lines[2].startswith("1,")
 
     def test_csv_matches_per_row_writer(self, tmp_path):
-        # more than two blocks, so block boundaries fall mid-trace and the
-        # last block is short
-        n = 2 * dynamics.CSV_BLOCK + 123
+        # more than two evaluation blocks, so block boundaries of the evaluation
+        # and of the text fall mid-trace, and the last block is short
+        n = 2 * dynamics.TRACE_BLOCK + 123
         special = [0.0, 1.0, 5e-324, 1e-17, 2000.0]
         times = np.concatenate([special, np.linspace(0.0, 2000.0, n - len(special))])
         prob = np.concatenate([np.random.default_rng(5).random(n - len(special)),
                                [0.0, 1.0, 5e-324, 1e-17, 1.0]])
-        around = dynamics.CSV_BLOCK - 2
-        times[around:around + len(special)] = special
+        for around in (dynamics.CSV_BLOCK - 2, dynamics.TRACE_BLOCK - 2):
+            times[around:around + len(special)] = special
         trace = dynamics.TransferTrace(times, prob, dynamics.fidelity_from_probability(prob),
                                        (0.0, 0.0))
-        trace.to_csv(tmp_path / "blocks.csv")
+
+        class Recorded:
+            """A series whose blocks are the next rows of ``trace``, whatever the grid."""
+            done = 0
+
+            def trace(self, grid):
+                rows = slice(self.done, self.done + len(grid))
+                self.done += len(grid)
+                return dynamics.TransferTrace(trace.times[rows], trace.probability[rows],
+                                              trace.fidelity[rows], (0.0, 0.0))
+
+        with open(tmp_path / "blocks.csv", "w", encoding="utf-8") as fh:
+            dynamics.write_trace(Recorded(), 1.0, n, fh)
         write_trace_csv(trace, tmp_path / "rows.csv")
         got = (tmp_path / "blocks.csv").read_bytes()
         assert got == (tmp_path / "rows.csv").read_bytes()
@@ -139,6 +152,37 @@ class TestTransferProbability:
         # 5e-324 is the smallest subnormal, 4.94065645841247e-324 at 15 digits
         assert b"\n4.94065645841247e-324," in got and b",4.94065645841247e-324," in got
         assert b"\n1e-17," in got and b",1e-17," in got
+
+    def test_streamed_trace_matches_transfer_probability(self, tmp_path):
+        # three evaluation blocks and a short last one
+        spec = chains.homogeneous_chain(11)
+        n = 3 * dynamics.TRACE_BLOCK + 123
+        trace = dynamics.transfer_probability(spec, np.linspace(0.0, 500.0, n))
+        with open(tmp_path / "streamed.csv", "w", encoding="utf-8") as fh:
+            peak = dynamics.write_trace(dynamics.chain_series(spec), 500.0, n, fh)
+        write_trace_csv(trace, tmp_path / "rows.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert peak == trace.peak
+        assert dynamics.write_trace(dynamics.chain_series(spec), 500.0, n) == trace.peak
+
+    @settings(max_examples=60, deadline=None)
+    @given(t_max=st.floats(min_value=5e-324, max_value=1e300),
+           blocks=st.integers(min_value=0, max_value=3), offset=st.integers(min_value=-2, max_value=2))
+    @example(t_max=1e-320, blocks=3, offset=1)  # a subnormal step, computed as (i / n) * t_max
+    @example(t_max=5e-324, blocks=0, offset=2)
+    def test_grid_blocks_are_linspace(self, t_max, blocks, offset):
+        samples = max(blocks * dynamics.TRACE_BLOCK + offset, 2)
+        grid = np.concatenate([
+            dynamics.linspace_block(t_max, samples, start, min(start + dynamics.TRACE_BLOCK, samples))
+            for start in range(0, samples, dynamics.TRACE_BLOCK)])
+        assert grid.tobytes() == np.linspace(0.0, t_max, samples).tobytes()
+
+    def test_overflowing_phase_is_unsupported(self):
+        # f t beyond the float range is bad input, caught before any cosine warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedInputError, match="overflows"):
+                dynamics.transfer_probability(chains.homogeneous_chain(11), [0.0, 1e308])
 
     def test_trace_arrays_read_only(self):
         times = np.linspace(0.0, 10.0, 50)
