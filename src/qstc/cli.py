@@ -7,6 +7,11 @@ recording the command, resolved inputs, output files, seed, wall time and any
 error, so results can be reproduced byte-for-byte; one it rejects exits 2
 first.
 
+All calls in one process share one parser: :func:`build_parser` builds it on
+the first :func:`main` call, not at import, and returns the same read-only
+object after that, so a caller that runs ``main`` many times in-process pays
+for the parser once.
+
 Exit codes: 0 success, 2 bad input, 3 numerical failure, 4 infeasible design.
 """
 
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import shutil
@@ -255,7 +261,14 @@ def _cmd_sequences(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The ``qstc`` argument parser, shared by every call in the process.
+
+    It is built on the first call and the same object is returned after that;
+    ``parse_args`` keeps no state on it, so callers must only parse with it,
+    never change it.
+    """
     parser = argparse.ArgumentParser(
         prog="qstc",
         description="Decorated transmon-chain spectra, state transfer and coupling design",
@@ -339,8 +352,7 @@ def _classify_error(exc):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     from . import __version__
 
     manifest = {

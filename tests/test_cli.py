@@ -957,3 +957,86 @@ class TestManifest:
         monkeypatch.setenv("QSTC_THREADS", "many")
         spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
         assert run(["spectrum", spec_file]) == 2
+
+
+class TestSharedParser:
+    OPTIMIZE = TestManifest.OPTIMIZE
+
+    # every subcommand, an argparse rejection mid-sequence and commands that exit 2 and 4
+    SEQUENCE = [
+        (["spectrum", "n11.json", "--verify-lemmas", "--out", "spectrum.json"], 0),
+        (["evolve", "n11.json", "--tmax", "100", "--samples", "3000", "--out", "trace.csv"], 0),
+        (["design", "pst", "--family", "n11", "--k", "1", "--v1", "2.0", "--out", "pst.json"],
+         0),
+        (["design", "pst", "--family", "n20", "--k", "1", "--v1", "2.0"], "SystemExit 2"),
+        (["design", "bound", "--w", "0.8"], 0),
+        (["design", "pgt", "--spec", "n11.json", "--epsilon", "0.05", "--tmax", "1000",
+          "--out", "pgt.json"], 0),
+        (["glue", "n8.json"], 2),
+        (["--manifest", "glue-manifest.json", "glue", "n11.json", "--out", "n23.json"], 0),
+        (["design", "pst", "--family", "n8", "--k", "1", "--v1", "2.5"], 4),
+        (["sequences", "--k-max", "5", "--out", "rows.json"], 0),
+        (["optimize", "--config", "single.json", "--out", "opt.json", "--out-csv", "opt.csv"],
+         0),
+        (["optimize", "--config", "sweep.json", "--out", "sweep-out.json",
+          "--out-csv", "sweep.csv"], 0),
+    ]
+
+    def replay(self, directory, monkeypatch, capsys, fresh):
+        """Run SEQUENCE in ``directory``; per command its code, stdout, stderr and manifests.
+
+        With ``fresh`` the parser is rebuilt before every command, as in a new
+        process; otherwise it is built once, by the first command.
+        """
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        write_spec(directory / "n11.json", chains.homogeneous_chain(11))
+        write_spec(directory / "n8.json", chains.homogeneous_chain(8))
+        (directory / "single.json").write_text(json.dumps(
+            dict(self.OPTIMIZE, seed=4, fixed_params={"w": 0.7})))
+        (directory / "sweep.json").write_text(json.dumps(
+            dict(self.OPTIMIZE, seed=6, sweep={"w": [0.7, 0.9]})))
+        cli.build_parser.cache_clear()
+        steps = []
+        for argv, _ in self.SEQUENCE:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = f"SystemExit {exc.code}"
+            captured = capsys.readouterr()
+            manifests = {}
+            for path in sorted(directory.glob("*manifest.json")):
+                manifests[path.name] = json.loads(path.read_text())
+                assert isinstance(manifests[path.name].pop("wall_time"), float)
+                path.unlink()
+            steps.append((argv, code, captured.out, captured.err, manifests))
+        assert cli.build_parser.cache_info().misses == 1
+        files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+        return steps, files
+
+    def test_reuse_matches_a_fresh_parser_per_call(self, tmp_path, monkeypatch, capsys):
+        shared = self.replay(tmp_path / "shared", monkeypatch, capsys, fresh=False)
+        fresh = self.replay(tmp_path / "fresh", monkeypatch, capsys, fresh=True)
+        assert [code for _, code, *_ in shared[0]] == [code for _, code in self.SEQUENCE]
+        assert shared == fresh
+
+    def test_built_once_per_process(self, workdir):
+        assert cli.build_parser() is cli.build_parser()
+        spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
+        cli.build_parser.cache_clear()
+        for argv in (["spectrum", spec_file], ["design", "bound", "--w", "0.8"],
+                     ["sequences", "--k-max", "2"], ["glue", spec_file]):
+            assert run(argv) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self, workdir):
+        script = (
+            "from qstc import cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=workdir, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
