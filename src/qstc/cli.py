@@ -13,6 +13,9 @@ object after that, so a caller that runs ``main`` many times in-process pays
 for the parser once.
 
 Exit codes: 0 success, 2 bad input, 3 numerical failure, 4 infeasible design.
+They are the error types' own (``QstcError.exit_code``), so a library caller
+sees the same types that the CLI maps; an unwritable output (``OSError``)
+exits 2 and any other exception 1.
 """
 
 from __future__ import annotations
@@ -21,18 +24,13 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import math
 import os
 import shutil
 import sys
 import time
 
-from .errors import (InfeasibleDesignError, NumericalError, StructuralError,
-                     UnsupportedInputError, ValidationError, load_json, read_value, write_json)
-
-EXIT_INPUT = 2
-EXIT_NUMERICAL = 3
-EXIT_INFEASIBLE = 4
+from .errors import (QstcError, UnsupportedInputError, ValidationError, load_json, read_value,
+                     write_json)
 
 
 def _apply_threads(threads):
@@ -134,12 +132,6 @@ def _replaced_on_success(path):
 def _cmd_evolve(args):
     from . import chains, dynamics
 
-    if args.samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {args.samples}")
-    if args.samples >= 2**63:  # as for a scan
-        raise UnsupportedInputError(f"samples must fit in an int64, got {args.samples}")
-    if not 0 < args.tmax < math.inf:
-        raise ValidationError(f"tmax must be positive and finite, got {args.tmax}")
     series = dynamics.chain_series(chains.load_spec(args.spec_file))
     with _replaced_on_success(args.out) if args.out else contextlib.nullcontext() as fh:
         t_star, p_star = dynamics.write_trace(series, args.tmax, args.samples, fh)
@@ -332,24 +324,6 @@ def build_parser():
     return parser
 
 
-def _classify_error(exc):
-    if isinstance(exc, InfeasibleDesignError):
-        return EXIT_INFEASIBLE
-    if isinstance(exc, NumericalError):
-        return EXIT_NUMERICAL
-    if isinstance(
-        exc,
-        (
-            ValidationError,
-            StructuralError,
-            UnsupportedInputError,
-            OSError,  # inputs are read at typed boundaries; this is an unwritable --out
-        ),
-    ):
-        return EXIT_INPUT
-    return 1
-
-
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
@@ -376,7 +350,10 @@ def main(argv=None):
         code = 0
     except Exception as exc:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        code = _classify_error(exc)
+        if isinstance(exc, QstcError):
+            code = exc.exit_code
+        else:  # inputs are read at typed boundaries, so an OSError is an unwritable --out
+            code = 2 if isinstance(exc, OSError) else 1
         print(f"error: {manifest['error']}", file=sys.stderr)
     manifest["wall_time"] = time.monotonic() - start
     try:

@@ -276,8 +276,18 @@ def write_trace(series, t_max, samples, out=None):
     CSV_BLOCK rows at a time.  Only one block is held, whatever ``samples``;
     a block that fails stops the trace before its rows are written.
 
+    Before anything is written, ``samples`` below 2 or ``t_max`` that is not
+    positive and finite raise :class:`ValidationError`, and ``samples`` of
+    2^63 or more, beyond an int64 as for a scan, :class:`UnsupportedInputError`.
+
     Returns (t*, P*) of the first best sample.
     """
+    if samples < 2:
+        raise ValidationError(f"samples must be >= 2, got {samples}")
+    if samples >= 2**63:
+        raise UnsupportedInputError(f"samples must fit in an int64, got {samples}")
+    if not 0 < t_max < math.inf:
+        raise ValidationError(f"tmax must be positive and finite, got {t_max}")
     if out is not None:
         out.write("t,P,f\n")
     peak = None

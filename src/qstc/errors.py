@@ -1,26 +1,36 @@
-"""Exception hierarchy shared by all qstc modules, and the one JSON reader and writer."""
+"""Exception hierarchy shared by all qstc modules, and the one JSON reader and writer.
+
+Each error type's ``exit_code`` is the status that ``qstc`` exits with: 2 for
+bad input, 3 for a numerical failure, 4 for an infeasible design.  So a
+library caller sees the same types that the CLI maps.
+"""
 
 import json
 
 
 class QstcError(Exception):
-    """Base class for all errors raised by qstc."""
+    """Base class for all errors raised by qstc; ``exit_code`` is the CLI's status for the error."""
+    exit_code = 1
 
 
 class ValidationError(QstcError):
     """Malformed input: bad coupling lists, non-positive couplings, bad flags."""
+    exit_code = 2
 
 
 class StructuralError(QstcError):
     """A structural precondition failed (e.g. glueing an even-length chain)."""
+    exit_code = 2
 
 
 class NumericalError(QstcError):
     """Numerical backend failure (eigensolver non-convergence, ...)."""
+    exit_code = 3
 
 
 class InfeasibleDesignError(QstcError):
     """Requested inverse design lies outside its feasibility interval."""
+    exit_code = 4
 
     def __init__(self, message, interval=None):
         super().__init__(message)
@@ -29,6 +39,7 @@ class InfeasibleDesignError(QstcError):
 
 class UnsupportedInputError(QstcError):
     """Input outside the supported domain (e.g. non-integer couplings)."""
+    exit_code = 2
 
 
 def load_json(path, what):

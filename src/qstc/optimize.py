@@ -253,7 +253,7 @@ def neg_log_infidelity(p):
     infid = 1.0 - p
     if infid <= 10.0**-MAX_NEG_LOG:
         return MAX_NEG_LOG
-    return -math.log10(infid)
+    return 0.0 - math.log10(infid)  # +0.0 at P = 0, where -log10(1.0) is -0.0
 
 
 @dataclass(frozen=True)

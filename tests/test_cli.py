@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qstc import chains, cli, design, dynamics, exact, optimize, spectral
+from qstc import chains, cli, design, dynamics, errors, exact, optimize, spectral
 from qstc.errors import write_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -309,6 +309,11 @@ class TestSpectrumCommand:
     def test_unwritable_output(self, workdir):
         spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
         assert run(["spectrum", spec_file, "--out", str(workdir / "nodir" / "s.json")]) == 2
+        # evolve's OSError comes from the partial file it opens beside the target
+        assert run(["evolve", spec_file, "--tmax", "10", "--samples", "100",
+                    "--out", str(workdir / "nodir" / "t.csv")]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"].startswith("FileNotFoundError")
 
     def test_undecodable_file(self, workdir):
         bad = workdir / "bad.json"
@@ -366,6 +371,21 @@ class TestEvolveCommand:
         assert run(argv + ["--out", "trace.csv"]) == 3
         assert (workdir / "trace.csv").read_bytes() == b"t,P,f\nearlier run\n"
         assert set(os.listdir(workdir)) == before | {"trace.csv"}
+
+    @pytest.mark.parametrize("bad, error", [
+        (["--samples", "1", "--tmax", "10"], "ValidationError: samples must be >= 2"),
+        (["--samples", str(2**63), "--tmax", "10"], "UnsupportedInputError: samples must fit"),
+        (["--samples", "100", "--tmax=-1"], "ValidationError: tmax must be positive"),
+    ])
+    def test_rejected_trace_leaves_out_as_it_was(self, workdir, capsys, bad, error):
+        # write_trace checks its input before the header; the partial file goes
+        spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
+        (workdir / "trace.csv").write_bytes(b"t,P,f\nearlier run\n")
+        assert run(["evolve", spec_file, *bad, "--out", "trace.csv"]) == 2
+        assert (workdir / "trace.csv").read_bytes() == b"t,P,f\nearlier run\n"
+        assert sorted(os.listdir(workdir)) == ["n5.json", "qstc-manifest.json", "trace.csv"]
+        assert capsys.readouterr().out == ""
+        assert json.loads((workdir / "qstc-manifest.json").read_text())["error"].startswith(error)
 
     def test_out_is_replaced_as_open_writes_it(self, workdir):
         # --out is replaced as open(path, "w") would write it: a new file gets
@@ -570,6 +590,30 @@ def test_bad_glue_and_evolve_values_rejected_up_front(workdir, capsys, argv, mes
     assert message in manifest["error"]
 
 
+@pytest.mark.parametrize("exc, code", [
+    (errors.ValidationError("bad flag"), 2),
+    (errors.StructuralError("even length"), 2),
+    (errors.UnsupportedInputError("non-integer coupling"), 2),
+    (errors.NumericalError("no convergence"), 3),
+    (errors.InfeasibleDesignError("outside interval", (1.0, 2.0)), 4),
+    (errors.QstcError("no kind"), 1),
+    (PermissionError("read-only --out"), 2),
+    (RuntimeError("internal"), 1),
+])
+def test_exit_code_is_the_error_types_own(workdir, monkeypatch, exc, code):
+    # main exits with the error type's exit_code; an OSError, such as an
+    # unwritable --out, with 2 and any other exception with 1
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(design, "dimerized_upper_bound", broken)
+    assert run(["design", "bound", "--w", "0.8"]) == code
+    if isinstance(exc, errors.QstcError):
+        assert exc.exit_code == code
+    manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+    assert manifest["error"] == f"{type(exc).__name__}: {exc}"
+
+
 class TestOptimizeCommand:
     def config(self, path, **overrides):
         base = {
@@ -625,6 +669,20 @@ class TestOptimizeCommand:
             csvs.append(csv.read_bytes())
         assert csvs[0] == csvs[1]
         assert csvs[0].decode().splitlines()[1].startswith("fixed_w_opt_g,2,11,50,0.8,")
+
+    def test_zero_probability_prints_positive_zero(self, workdir, capsys):
+        # couplings near 1e-200 leave P = 0, whose -log10(1 - P) was printed as -0
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "full_k_plus_4", "k": 2, "seed": 7, "budget": 900,
+                                   "bounds": [[1e-200, 1e-199]], "sweep": {"T_multiples": [10]}}))
+        assert run(["optimize", "--config", str(cfg), "--out", "out.json",
+                    "--out-csv", "out.csv"]) == 0
+        row = "full_k_plus_4,2,11,110,,0,0,7"
+        assert capsys.readouterr().out.splitlines()[1:] == ["  " + row]
+        assert (workdir / "out.csv").read_text().splitlines()[1:] == [row]
+        (result,) = json.loads((workdir / "out.json").read_text())["sweep"]
+        assert math.copysign(1.0, result["neg_log_infidelity"]) == 1.0
+        assert '"neg_log_infidelity": 0.0,' in (workdir / "out.json").read_text()
 
     def test_csv_only_run_builds_no_json_payload(self, workdir, monkeypatch):
         # only --out reads the to_dict payload, so a run with --out-csv alone

@@ -120,6 +120,23 @@ class TestTransferProbability:
         assert len(lines) == 3
         assert lines[2].startswith("1,")
 
+    @pytest.mark.parametrize("t_max, samples, error, message", [
+        (5.0, 0, ValidationError, "samples must be >= 2, got 0"),
+        (5.0, 1, ValidationError, "samples must be >= 2, got 1"),
+        (5.0, 2**63, UnsupportedInputError, "samples must fit in an int64"),
+        (0.0, 10, ValidationError, "tmax must be positive and finite, got 0.0"),
+        (-1.0, 10, ValidationError, "tmax must be positive and finite, got -1.0"),
+        (math.nan, 10, ValidationError, "tmax must be positive and finite, got nan"),
+        (math.inf, 10, ValidationError, "tmax must be positive and finite, got inf"),
+    ])
+    def test_trace_input_rejected_before_writing(self, t_max, samples, error, message):
+        # linspace would give one sample at t = 0, an empty or negative grid, or nan
+        out = io.StringIO()
+        with pytest.raises(error, match=f"^{message}"):
+            dynamics.write_trace(dynamics.chain_series(chains.homogeneous_chain(5)),
+                                 t_max, samples, out)
+        assert out.getvalue() == ""
+
     def test_csv_matches_per_row_writer(self, tmp_path):
         # more than two evaluation blocks, so block boundaries of the evaluation
         # and of the text fall mid-trace, and the last block is short

@@ -1,8 +1,20 @@
-"""Tests for the one reader of JSON input values."""
+"""Tests for the error types' exit codes and the one reader of JSON input values."""
 
 import pytest
 
-from qstc.errors import ValidationError, load_json, read_value
+from qstc.errors import (InfeasibleDesignError, NumericalError, QstcError, StructuralError,
+                         UnsupportedInputError, ValidationError, load_json, read_value)
+
+# the documented exit status of each error type
+EXIT_CODES = {ValidationError: 2, StructuralError: 2, UnsupportedInputError: 2,
+              NumericalError: 3, InfeasibleDesignError: 4}
+
+
+def test_every_error_type_carries_its_exit_code():
+    assert set(QstcError.__subclasses__()) == set(EXIT_CODES)
+    for kind, code in EXIT_CODES.items():
+        assert kind.exit_code == code
+        assert kind("message").exit_code == code
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,13 @@ class TestObjective:
         assert optimize.neg_log_infidelity(1.0) == optimize.MAX_NEG_LOG
         assert optimize.neg_log_infidelity(0.9) == pytest.approx(1.0)
 
+    def test_neg_log_infidelity_of_zero_is_positive_zero(self):
+        # -log10(1.0) is -0.0, which the CSV and JSON would print as -0; 1 - 1e-300 is 1.0
+        for p in (0.0, 1e-300):
+            assert math.copysign(1.0, optimize.neg_log_infidelity(p)) == 1.0
+        for p in (1e-15, 0.25, 0.5, 0.9, 1 - 1e-12):
+            assert optimize.neg_log_infidelity(p).hex() == (-math.log10(1.0 - p)).hex()
+
 
 def random_problem(scenario, k, arrival_time, window_max):
     fixed = {optimize.Scenario.FIXED_W_OPT_G: {"w": 0.7},
