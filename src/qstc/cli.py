@@ -5,7 +5,8 @@ Subcommands map one-to-one onto library modules: ``spectrum``, ``evolve``,
 Every command line that argparse accepts writes a run manifest (JSON)
 recording the command, resolved inputs, output files, seed, wall time and any
 error, so results can be reproduced byte-for-byte; one it rejects exits 2
-first.
+first.  The output files are a successful run's ``--out-csv`` and ``--out``,
+in that order; a failed run lists none, and its error names paths as given.
 
 All calls in one process share one parser: :func:`build_parser` builds it on
 the first :func:`main` call, not at import, and returns the same read-only
@@ -50,17 +51,9 @@ def _apply_threads(threads):
     return threads
 
 
-def _json_out(payload, path):
-    """Write ``payload`` to ``path``, an ``--out`` value, if one was given; the paths written."""
-    if not path:
-        return []
-    write_json(payload, path)
-    return [path]
-
-
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns its manifest fields: "outputs", the
-# paths it wrote, and for optimize the "seed" of its problems
+# subcommand implementations; each writes its own files and prints, optimize
+# returns the "seed" of its problems, and main records the outputs
 # ---------------------------------------------------------------------------
 
 
@@ -88,7 +81,8 @@ def _cmd_spectrum(args):
             k: str(v) for k, v in report.violations.items()})
     if args.exact:
         payload["exact"] = exact_payload
-    outputs = _json_out(payload, args.out)
+    if args.out:
+        write_json(payload, args.out)
     print(f"N={spec.n}  eigenvalues in [{lam[0]:.6g}, {lam[-1]:.6g}]  "
           f"null multiplicity {payload['spectrum']['null_multiplicity']}")
     if "lemmas" in payload:
@@ -97,7 +91,6 @@ def _cmd_spectrum(args):
     if "exact" in payload:
         ex = payload["exact"]
         print(f"exact: max factor degree {ex['max_degree']}  sequence {ex['sequence']}")
-    return {"outputs": outputs}
 
 
 @contextlib.contextmanager
@@ -118,7 +111,11 @@ def _replaced_on_success(path):
     head, tail = os.path.split(target)
     partial = os.path.join(head, f".{tail}.{os.getpid()}.part")
     try:
-        with open(partial, "w", encoding="utf-8") as fh:
+        fh = open(partial, "w", encoding="utf-8")
+    except OSError as exc:  # name the path as given, as open(path, "w") would
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
         if os.path.exists(target):
             shutil.copymode(target, partial)
@@ -136,17 +133,16 @@ def _cmd_evolve(args):
     with _replaced_on_success(args.out) if args.out else contextlib.nullcontext() as fh:
         t_star, p_star = dynamics.write_trace(series, args.tmax, args.samples, fh)
     print(f"peak: t*={t_star:.12g}  P*={p_star:.12g}")
-    return {"outputs": [args.out] if args.out else []}
 
 
 def _cmd_design_pst(args):
     from . import design
 
     d = design.design_pst(args.family, args.k, args.v1)
-    outputs = _json_out(dataclasses.asdict(d), args.out)
+    if args.out:
+        write_json(dataclasses.asdict(d), args.out)
     pairs = ", ".join(f"{k}={v:.12g}" for k, v in d.couplings.items())
     print(f"{d.family} k={d.k} v1={d.v1:g}: {pairs}")
-    return {"outputs": outputs}
 
 
 def _cmd_design_bound(args):
@@ -154,7 +150,6 @@ def _cmd_design_bound(args):
 
     value = design.dimerized_upper_bound(args.w)
     print(f"P_up({args.w:g}) = {value:.15g}")
-    return {"outputs": []}
 
 
 def _cmd_design_pgt(args):
@@ -163,13 +158,13 @@ def _cmd_design_pgt(args):
     spec = chains.load_spec(args.spec_file)
     series = dynamics.chain_series(spec)
     result = design.pgt_search(series, args.epsilon, args.tmax)
-    outputs = _json_out(dataclasses.asdict(result), args.out)
+    if args.out:
+        write_json(dataclasses.asdict(result), args.out)
     if result.reached:
         print(f"reached: t={result.t_found:.12g}  infidelity={result.best_infidelity:.3g}")
     else:
         print(f"not reached: best t={result.best_t:.12g}  "
               f"infidelity={result.best_infidelity:.3g}")
-    return {"outputs": outputs}
 
 
 def _cmd_optimize(args):
@@ -186,18 +181,12 @@ def _cmd_optimize(args):
         result = qopt.optimize(problems[0], budget)
         results = [(result, None)]
     rows = qopt.sweep_csv_rows(results)
-    outputs = []
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
-        outputs.append(args.out_csv)
     if args.out:  # only --out reads the payload, trajectories included
-        if "sweep" in config:
-            payload = {"sweep": [res.to_dict() if res is not None else {"error": err}
-                                 for res, err in results]}
-        else:
-            payload = result.to_dict()
-        outputs += _json_out(payload, args.out)
+        payload = [res.to_dict() if res is not None else {"error": err} for res, err in results]
+        write_json({"sweep": payload} if "sweep" in config else payload[0], args.out)
     if "sweep" in config:
         ok = sum(1 for res, _ in results if res is not None)
         print(f"sweep: {ok}/{len(results)} problems solved")
@@ -206,7 +195,7 @@ def _cmd_optimize(args):
     else:
         print(f"best P = {result.best_p:.12g}  (-log10 infidelity {result.neg_log_infidelity:.3g}, "
               f"{result.evaluations} evaluations)")
-    return {"outputs": outputs, "seed": problems[0].seed}
+    return {"seed": problems[0].seed}
 
 
 def _cmd_glue(args):
@@ -217,9 +206,9 @@ def _cmd_glue(args):
     child_ev = spectral.eigenvalues(chains.build_hamiltonian(result.child))
     parent_ev = spectral.eigenvalues(chains.build_hamiltonian(parent))
     contained, _ = spectral.match_contained(parent_ev, child_ev, spectral.tolerance(child_ev))
-    outputs = _json_out(dataclasses.asdict(result.child), args.out)
+    if args.out:
+        write_json(dataclasses.asdict(result.child), args.out)
     print(f"glued N={parent.n} -> N={result.child.n}; parent spectrum contained: {contained}")
-    return {"outputs": outputs}
 
 
 def _cmd_sequences(args):
@@ -241,11 +230,11 @@ def _cmd_sequences(args):
                 "certification": report.certification,
             }
         )
-    outputs = _json_out({"rows": rows}, args.out)
+    if args.out:
+        write_json({"rows": rows}, args.out)
     print("k,N,sequence,poly")
     for row in rows:
         print(f"{row['k']},{row['N']},{row['sequence']},{row['poly']}")
-    return {"outputs": outputs}
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +321,7 @@ def main(argv=None):
     manifest = {
         "command": ["qstc"] + argv,
         "tool_version": __version__,
-        "inputs": {
-            k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
-        },
+        "inputs": {k: v for k, v in vars(args).items() if k != "func" and v is not None},
         "outputs": [],
         "seed": None,
         "wall_time": None,
@@ -346,7 +333,8 @@ def main(argv=None):
         threads = _apply_threads(args.threads)
         if threads is not None:
             manifest["inputs"]["threads"] = threads
-        manifest.update(args.func(args))
+        manifest.update(args.func(args) or {})
+        manifest["outputs"] = [p for p in (getattr(args, n, None) for n in ("out_csv", "out")) if p]
         code = 0
     except Exception as exc:
         manifest["error"] = f"{type(exc).__name__}: {exc}"

@@ -15,32 +15,42 @@ infidelity drops below a target.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import chains, dynamics
-from .errors import InfeasibleDesignError, ValidationError
+from .errors import InfeasibleDesignError, UnsupportedInputError, ValidationError
 
 FAMILIES = ("n8", "n11")
+
+
+@contextlib.contextmanager
+def _float_sized(k):
+    """An ``OverflowError`` from the float of a k-polynomial: unsupported k."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise UnsupportedInputError(f"spectrum offset k overflows a float: {exc}") from exc
 
 
 def feasible_interval(family, k):
     """Open interval of admissible v1^2 for a PST family at offset ``k``.
 
     The bounds come from requiring every derived squared coupling to be
-    strictly positive.
+    strictly positive.  A k whose squares overflow a float, here or in the
+    couplings, is an :class:`UnsupportedInputError`.
     """
     if k < 1:
         raise ValidationError(f"spectrum offset k must be >= 1, got {k}")
-    if family == "n8":
-        return ((4 * k * k + 8 * k + 3) / (k * k + 2 * k + 3), float((k + 1) ** 2))
-    if family == "n11":
-        return (
-            1.5 * (4 * k * k + 12 * k + 5) / (2 * k * k + 2 * k + 5),
-            (2 * k * k + 6 * k + 3) / 2,
-        )
+    with _float_sized(k):
+        if family == "n8":
+            return ((4 * k * k + 8 * k + 3) / (k * k + 2 * k + 3), float((k + 1) ** 2))
+        if family == "n11":
+            return (1.5 * (4 * k * k + 12 * k + 5) / (2 * k * k + 2 * k + 5),
+                    (2 * k * k + 6 * k + 3) / 2)
     raise ValidationError(f"unknown PST family {family!r}; expected one of {FAMILIES}")
 
 
@@ -108,9 +118,10 @@ def design_pst_n8(k, v1):
     identity sum(lambda^2) = ||h||_F^2.
     """
     interval = _check_feasible("n8", k, v1)
-    v2_sq = (3 + 4 * k * (k + 2)) / (2 * v1 * v1)
-    g1_sq = (k + 1) ** 2 - v1 * v1
-    g2_sq = (3 * k * k + 6 * k + 5) - 2 * (v1 * v1 + v2_sq + g1_sq)
+    with _float_sized(k):
+        v2_sq = (3 + 4 * k * (k + 2)) / (2 * v1 * v1)
+        g1_sq = (k + 1) ** 2 - v1 * v1
+        g2_sq = (3 * k * k + 6 * k + 5) - 2 * (v1 * v1 + v2_sq + g1_sq)
     spectrum = (-(k + 2), -(k + 1), -k, 0, 0, k, k + 1, k + 2)
     return _pst_design("n8", k, v1, interval, spectrum, {},
                        {"v2": v2_sq, "g1": g1_sq, "g2": g2_sq})
@@ -119,12 +130,12 @@ def design_pst_n8(k, v1):
 def design_pst_n11(k, v1):
     """Couplings of the N=11 chain with spectrum {+-k..+-(k+3), 0^3}."""
     interval = _check_feasible("n11", k, v1)
-    v2 = math.sqrt(3 * (5 + 12 * k + 4 * k * k)) / (2 * v1)
-    v3 = math.sqrt(3 + 2 * k)
-    g1_sq = (3 + 6 * k + 2 * k * k - 2 * v1 * v1) / 2
-    g2_sq = ((10 + 4 * k + 4 * k * k) * v1 * v1 - (15 + 36 * k + 12 * k * k)) / (
-        4 * v1 * v1
-    )
+    with _float_sized(k):
+        v2 = math.sqrt(3 * (5 + 12 * k + 4 * k * k)) / (2 * v1)
+        v3 = math.sqrt(3 + 2 * k)
+        g1_sq = (3 + 6 * k + 2 * k * k - 2 * v1 * v1) / 2
+        g2_sq = (((10 + 4 * k + 4 * k * k) * v1 * v1 - (15 + 36 * k + 12 * k * k))
+                 / (4 * v1 * v1))
     spectrum = tuple(sorted([0, 0, 0] + [s * (k + j) for j in range(4) for s in (1, -1)]))
     return _pst_design("n11", k, v1, interval, spectrum, {"v2": v2, "v3": v3},
                        {"g1": g1_sq, "g2": g2_sq})

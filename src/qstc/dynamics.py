@@ -231,17 +231,12 @@ def transfer_probability(spec, times):
         Chain to evolve; the excitation starts on the first corner qubit and
         is read out on the second.
     times : array_like
-        Finite sample times in inverse-coupling units.
+        Finite sample times in inverse-coupling units, checked by :meth:`CosineSeries.trace`.
 
     Returns
     -------
     TransferTrace
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValidationError("times must be a non-empty 1-d array")
-    if not np.all(np.isfinite(times)):
-        raise ValidationError("times must be finite")
     return chain_series(spec).trace(times)
 
 
@@ -331,12 +326,17 @@ class CosineSeries:
     def trace(self, times):
         """Sampled :class:`TransferTrace`, P through :func:`capped_probability`.
 
-        A largest phase f_max max|t| that overflows is an
-        :class:`UnsupportedInputError`, before any cosine is taken.
+        ``times`` that are not a non-empty 1-d array of finite values raise
+        :class:`ValidationError`; a largest phase f_max max|t| that overflows
+        is an :class:`UnsupportedInputError`, before any cosine is taken.
         """
         times = np.array(times, dtype=float)
+        if times.ndim != 1 or times.size == 0:
+            raise ValidationError("times must be a non-empty 1-d array")
+        if not np.all(np.isfinite(times)):
+            raise ValidationError("times must be finite")
         f_max = float(max(self.frequencies, default=0.0))
-        t_far = float(np.max(np.abs(times), initial=0.0))
+        t_far = float(np.max(np.abs(times)))
         if f_max * t_far == math.inf:
             raise UnsupportedInputError(f"phase f t overflows: f_max {f_max:g} at t = {t_far:g}")
         prob = capped_probability(self.probability(times))

@@ -306,14 +306,24 @@ class TestSpectrumCommand:
         bad.write_text('{"n_cells": 2, "t": [1')
         assert run(["spectrum", str(bad)]) == 2
 
-    def test_unwritable_output(self, workdir):
+    def test_unwritable_output(self, workdir, capsys):
+        # evolve opens a partial file beside its target, but its error names the path
+        # as given, as spectrum's does, so two runs leave the same manifest
         spec_file = write_spec(workdir / "n5.json", chains.homogeneous_chain(5))
-        assert run(["spectrum", spec_file, "--out", str(workdir / "nodir" / "s.json")]) == 2
-        # evolve's OSError comes from the partial file it opens beside the target
-        assert run(["evolve", spec_file, "--tmax", "10", "--samples", "100",
-                    "--out", str(workdir / "nodir" / "t.csv")]) == 2
-        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
-        assert manifest["error"].startswith("FileNotFoundError")
+        for argv in (["spectrum", spec_file, "--out", "nodir/s.json"],
+                     ["evolve", spec_file, "--tmax", "10", "--samples", "100",
+                      "--out", "nodir/t.csv"]):
+            manifests = []
+            for name in ("first.json", "second.json"):
+                assert run(["--manifest", name] + argv) == 2
+                manifest = json.loads((workdir / name).read_text())
+                assert capsys.readouterr().err == f"error: {manifest['error']}\n"
+                del manifest["wall_time"], manifest["command"], manifest["inputs"]["manifest"]
+                manifests.append(manifest)
+            assert manifests[0]["error"] == (
+                f"FileNotFoundError: [Errno 2] No such file or directory: '{argv[-1]}'")
+            assert ".part" not in manifests[0]["error"]
+            assert manifests[0] == manifests[1]
 
     def test_undecodable_file(self, workdir):
         bad = workdir / "bad.json"
@@ -491,6 +501,16 @@ class TestDesignCommand:
         assert run(["design", "pst", "--family", "n8", "--k", "1", "--v1", "2.5"]) == 4
         manifest = json.loads((workdir / "qstc-manifest.json").read_text())
         assert "feasible interval" in manifest["error"]
+
+    @pytest.mark.parametrize("family, k", [("n8", 10**154), ("n11", 4 * 10**153),
+                                           ("n8", 10**160), ("n11", 10**160)],
+                             ids=["n8-1e154", "n11-4e153", "n8-1e160", "n11-1e160"])
+    def test_huge_k_is_bad_input(self, workdir, family, k):
+        # squares of k that overflow a float are unsupported input (2), not an internal error
+        assert run(["design", "pst", "--family", family, "--k", str(k), "--v1", "10"]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"] == ("UnsupportedInputError: spectrum offset k overflows a float: "
+                                     "int too large to convert to float")
 
     def test_bound(self, workdir, capsys):
         assert run(["design", "bound", "--w", "1.0"]) == 0
@@ -994,6 +1014,58 @@ class TestManifest:
             set(os.listdir(workdir)) - before - {"qstc-manifest.json"})
         assert manifest["seed"] == seed
         assert manifest["error"] is None
+
+    @pytest.mark.parametrize("argv, code, outputs, written", [
+        (["spectrum", "n11.json"], 0, [], []),
+        (["spectrum", "n11.json", "--out", "s.json"], 0, ["s.json"], ["s.json"]),
+        (["evolve", "n11.json", "--tmax", "10", "--samples", "100"], 0, [], []),
+        (["evolve", "n11.json", "--tmax", "10", "--samples", "100", "--out", "t.csv"], 0,
+         ["t.csv"], ["t.csv"]),
+        (["design", "pst", "--family", "n11", "--k", "1", "--v1", "2.0"], 0, [], []),
+        (["design", "pst", "--family", "n11", "--k", "1", "--v1", "2.0", "--out", "pst.json"], 0,
+         ["pst.json"], ["pst.json"]),
+        (["design", "bound", "--w", "0.8"], 0, [], []),  # bound takes no --out
+        (["design", "pgt", "--spec", "n11.json", "--epsilon", "0.05", "--tmax", "1000"], 0, [], []),
+        (["design", "pgt", "--spec", "n11.json", "--epsilon", "0.05", "--tmax", "1000",
+          "--out", "pgt.json"], 0, ["pgt.json"], ["pgt.json"]),
+        (["glue", "n11.json"], 0, [], []),
+        (["glue", "n11.json", "--out", "n23.json"], 0, ["n23.json"], ["n23.json"]),
+        (["sequences", "--k-max", "3"], 0, [], []),
+        (["sequences", "--k-max", "3", "--out", "rows.json"], 0, ["rows.json"], ["rows.json"]),
+        (["optimize", "--config", "single.json", "--out-csv", "o.csv"], 0, ["o.csv"], ["o.csv"]),
+        (["optimize", "--config", "single.json", "--out", "o.json"], 0, ["o.json"], ["o.json"]),
+        # --out-csv comes first in outputs, whatever the order on the command line
+        (["optimize", "--config", "single.json", "--out", "o.json", "--out-csv", "o.csv"], 0,
+         ["o.csv", "o.json"], ["o.csv", "o.json"]),
+        (["optimize", "--config", "sweep.json", "--out-csv", "o.csv"], 0, ["o.csv"], ["o.csv"]),
+        (["optimize", "--config", "sweep.json", "--out", "o.json"], 0, ["o.json"], ["o.json"]),
+        (["optimize", "--config", "sweep.json", "--out", "o.json", "--out-csv", "o.csv"], 0,
+         ["o.csv", "o.json"], ["o.csv", "o.json"]),
+        # a failed run lists none, even the CSV that it wrote before its JSON failed
+        (["spectrum", "missing.json", "--out", "s.json"], 2, [], []),
+        (["evolve", "n11.json", "--tmax", "10", "--samples", "1", "--out", "t.csv"], 2, [], []),
+        (["design", "pst", "--family", "n8", "--k", "1", "--v1", "2.5", "--out", "pst.json"], 4,
+         [], []),
+        (["design", "bound", "--w", "-1"], 2, [], []),
+        (["design", "pgt", "--spec", "n11.json", "--epsilon", "0.05", "--tmax", "1e300",
+          "--out", "pgt.json"], 2, [], []),
+        (["glue", "missing.json", "--out", "n23.json"], 2, [], []),
+        (["sequences", "--k-max", "0", "--out", "rows.json"], 2, [], []),
+        (["optimize", "--config", "sweep.json", "--out-csv", "o.csv", "--out", "nodir/o.json"], 2,
+         [], ["o.csv"]),
+    ])
+    def test_outputs_are_the_files_written(self, workdir, argv, code, outputs, written):
+        write_spec(workdir / "n11.json", chains.homogeneous_chain(11))
+        (workdir / "single.json").write_text(json.dumps(
+            dict(self.OPTIMIZE, seed=4, fixed_params={"w": 0.7})))
+        (workdir / "sweep.json").write_text(json.dumps(
+            dict(self.OPTIMIZE, seed=6, sweep={"w": [0.7, 0.9]})))
+        before = set(os.listdir(workdir))
+        assert run(argv) == code
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["outputs"] == outputs
+        assert (manifest["error"] is None) == (code == 0)
+        assert set(os.listdir(workdir)) - before == set(written) | {"qstc-manifest.json"}
 
     def test_threads_flag(self, workdir, monkeypatch):
         for var in THREAD_VARS:  # restored after the test, whatever the flag sets

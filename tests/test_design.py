@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import dimerized_chain, dimerized_series, peak_search, probability_closed_form_pst
 from qstc import chains, design, dynamics
-from qstc.errors import InfeasibleDesignError, ValidationError
+from qstc.errors import InfeasibleDesignError, UnsupportedInputError, ValidationError
 
 
 def feasible_v1(family, k, frac):
@@ -35,6 +35,32 @@ class TestFeasibleInterval:
             design.feasible_interval("n8", 0)
         with pytest.raises(ValidationError):
             design.feasible_interval("n20", 1)
+
+    # k whose squares overflow a float: from 10^160 in the interval, below it
+    # only in the couplings; 10^5000 has more digits than str(int) allows
+    @pytest.mark.parametrize("family, k", [
+        ("n8", 10**154), ("n11", 4 * 10**153), ("n8", 10**160), ("n11", 10**160), ("n8", 10**5000),
+    ], ids=["n8-1e154", "n11-4e153", "n8-1e160", "n11-1e160", "n8-1e5000"])
+    def test_huge_k_unsupported(self, family, k):
+        with pytest.raises(UnsupportedInputError, match="spectrum offset k overflows a float"):
+            design.design_pst(family, k, 10.0)
+        if k >= 10**160:
+            with pytest.raises(UnsupportedInputError, match="spectrum offset k overflows"):
+                design.feasible_interval(family, k)
+
+    def test_largest_k_keep_their_results(self):
+        # the same k, and one decade below, still give their interval, design or
+        # InfeasibleDesignError, value for value
+        assert design.feasible_interval("n8", 10**154) == (4.0, 1e308)
+        assert design.feasible_interval("n11", 4 * 10**153) == (3.0, 1.6e307)
+        for family, k, interval in (("n8", 10**154, (4.0, 1e308)),
+                                    ("n11", 4 * 10**153, (3.0, 1.6e307))):
+            with pytest.raises(InfeasibleDesignError) as info:
+                design.design_pst(family, k, 1.0)
+            assert info.value.interval == interval
+        d = design.design_pst("n8", 10**153, 10.0)
+        assert d.couplings == {"v2": 1.4142135623730951e+152, "g1": 1e+153,
+                               "g2": 9.797958971132714e+152}
 
 
 class TestPstN8:

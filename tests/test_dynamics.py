@@ -106,11 +106,17 @@ class TestTransferProbability:
         assert min(trace.probability) >= 0.0
 
     def test_input_validation(self):
+        # the grid checks live in CosineSeries.trace, so both entry points give the
+        # same ValidationError for the same bad grid
         spec = chains.homogeneous_chain(5)
-        with pytest.raises(ValidationError):
-            dynamics.transfer_probability(spec, [])
-        with pytest.raises(ValidationError):
-            dynamics.transfer_probability(spec, [0.0, np.inf])
+        series = dynamics.chain_series(spec)
+        for times in ([], [[0.0, 1.0]], [math.nan], [math.inf], [0.0, np.inf]):
+            messages = []
+            for entry in (lambda t: dynamics.transfer_probability(spec, t), series.trace):
+                with pytest.raises(ValidationError) as info:
+                    entry(times)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1], times
 
     def test_csv_format(self):
         out = io.StringIO()
