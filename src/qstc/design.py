@@ -94,9 +94,16 @@ def _pst_design(family, k, v1, interval, spectrum, couplings, squares):
     """The :class:`PstDesign` of ``couplings`` and the square roots of ``squares``.
 
     ``squares`` maps names to derived squared couplings, in the design's
-    coupling order after ``couplings``; one that is not positive is an
+    coupling order after ``couplings``.  A coupling or square that is not
+    finite (a k-polynomial that overflowed to inf in float arithmetic) is an
+    :class:`UnsupportedInputError`; a square that is not positive is an
     :class:`InfeasibleDesignError`.
     """
+    values = {**couplings, **{f"{name}^2": sq for name, sq in squares.items()}}
+    huge = [f"{name} = {value!r}" for name, value in values.items() if not math.isfinite(value)]
+    if huge:
+        raise UnsupportedInputError(
+            f"spectrum offset k overflows a float at v1={v1:g}: {', '.join(huge)}")
     bad = [f"{name}^2 = {sq!r}" for name, sq in squares.items() if sq <= 0]
     if bad:  # only rounding gets here: v1^2 passed the open-interval check
         raise InfeasibleDesignError(

@@ -512,6 +512,15 @@ class TestDesignCommand:
         assert manifest["error"] == ("UnsupportedInputError: spectrum offset k overflows a float: "
                                      "int too large to convert to float")
 
+    def test_infinite_coupling_writes_nothing(self, workdir):
+        # g2^2 overflows to inf without an OverflowError: still unsupported input (2)
+        argv = ["design", "pst", "--family", "n11", "--k", str(10**153), "--v1", "10"]
+        assert run(argv + ["--out", "d.json"]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"] == ("UnsupportedInputError: spectrum offset k overflows a "
+                                     "float at v1=10: g2^2 = inf")
+        assert not (workdir / "d.json").exists()
+
     def test_bound(self, workdir, capsys):
         assert run(["design", "bound", "--w", "1.0"]) == 0
         assert "P_up(1) = 1" in capsys.readouterr().out
@@ -675,6 +684,23 @@ class TestOptimizeCommand:
         assert run(["optimize", "--config", cfg, "--out-csv", str(out1)]) == 0
         assert run(["optimize", "--config", cfg, "--out-csv", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("out_csv, out, error", [
+        ("o.csv", "nodir/o.json", "nodir/o.json"),
+        ("nodir/o.csv", "o.json", "nodir/o.csv"),
+    ], ids=["json-fails", "csv-fails"])
+    def test_failed_output_leaves_the_old_files(self, workdir, out_csv, out, error):
+        # the CSV replaces its target only after --out is written, so a failure of
+        # either file leaves the CSV that was there, and a failed CSV writes no JSON
+        cfg = self.config(workdir / "cfg.json", sweep={"w": [0.6, 0.8], "T_multiples": [5]})
+        (workdir / "o.csv").write_bytes(b"old,csv\n")
+        assert run(["optimize", "--config", cfg, "--out-csv", out_csv, "--out", out]) == 2
+        manifest = json.loads((workdir / "qstc-manifest.json").read_text())
+        assert manifest["error"] == (
+            f"FileNotFoundError: [Errno 2] No such file or directory: '{error}'")
+        assert manifest["outputs"] == []
+        assert (workdir / "o.csv").read_bytes() == b"old,csv\n"
+        assert sorted(os.listdir(workdir)) == ["cfg.json", "o.csv", "qstc-manifest.json"]
 
     def test_single_run_csv_matches_one_point_sweep(self, workdir):
         base = {"scenario": "fixed_w_opt_g", "k": 2, "seed": 9, "budget": 300,
@@ -1041,7 +1067,7 @@ class TestManifest:
         (["optimize", "--config", "sweep.json", "--out", "o.json"], 0, ["o.json"], ["o.json"]),
         (["optimize", "--config", "sweep.json", "--out", "o.json", "--out-csv", "o.csv"], 0,
          ["o.csv", "o.json"], ["o.csv", "o.json"]),
-        # a failed run lists none, even the CSV that it wrote before its JSON failed
+        # a failed run lists none and leaves no new file
         (["spectrum", "missing.json", "--out", "s.json"], 2, [], []),
         (["evolve", "n11.json", "--tmax", "10", "--samples", "1", "--out", "t.csv"], 2, [], []),
         (["design", "pst", "--family", "n8", "--k", "1", "--v1", "2.5", "--out", "pst.json"], 4,
@@ -1052,7 +1078,7 @@ class TestManifest:
         (["glue", "missing.json", "--out", "n23.json"], 2, [], []),
         (["sequences", "--k-max", "0", "--out", "rows.json"], 2, [], []),
         (["optimize", "--config", "sweep.json", "--out-csv", "o.csv", "--out", "nodir/o.json"], 2,
-         [], ["o.csv"]),
+         [], []),
     ])
     def test_outputs_are_the_files_written(self, workdir, argv, code, outputs, written):
         write_spec(workdir / "n11.json", chains.homogeneous_chain(11))

@@ -48,6 +48,13 @@ class TestFeasibleInterval:
             with pytest.raises(UnsupportedInputError, match="spectrum offset k overflows"):
                 design.feasible_interval(family, k)
 
+    def test_infinite_square_unsupported(self):
+        # (10 + 4k + 4k^2) v1^2 overflows to inf in float arithmetic with no
+        # OverflowError; g2 would be inf
+        with pytest.raises(UnsupportedInputError) as err:
+            design.design_pst("n11", 10**153, 10.0)
+        assert str(err.value) == "spectrum offset k overflows a float at v1=10: g2^2 = inf"
+
     def test_largest_k_keep_their_results(self):
         # the same k, and one decade below, still give their interval, design or
         # InfeasibleDesignError, value for value

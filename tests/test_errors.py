@@ -1,9 +1,16 @@
-"""Tests for the error types' exit codes and the one reader of JSON input values."""
+"""Tests for the error types' exit codes, the one reader of JSON input values and the JSON writer."""
+
+import json
+import os
+import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstc.errors import (InfeasibleDesignError, NumericalError, QstcError, StructuralError,
-                         UnsupportedInputError, ValidationError, load_json, read_value)
+                         UnsupportedInputError, ValidationError, load_json, read_value,
+                         write_json)
 
 # the documented exit status of each error type
 EXIT_CODES = {ValidationError: 2, StructuralError: 2, UnsupportedInputError: 2,
@@ -72,3 +79,83 @@ def test_unreadable_file_is_bad_input(tmp_path):
     path.write_text('{"N": ' + "1" * 5000 + "}", encoding="utf-8")
     with pytest.raises(ValidationError, match="cannot read chain spec"):
         load_json(path, "chain spec")
+
+
+def json_text(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestWriteJson:
+    def test_short_payload_over_a_longer_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json({"rows": list(range(100))}, path)
+        write_json({"rows": []}, path)
+        assert path.read_bytes() == b'{\n  "rows": []\n}\n'
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 1000)
+        link.symlink_to(target.name)
+        write_json([1, 2], link)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == json_text([1, 2])
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        link.symlink_to(target.name)
+        write_json({}, link)
+        assert link.is_symlink() and target.read_text() == "{}\n"
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path):
+        path, other = tmp_path / "a.json", tmp_path / "b.json"
+        path.write_text("old text that is longer than the new one")
+        os.link(path, other)
+        write_json(None, path)
+        assert other.read_text() == "null\n"
+        assert os.stat(path).st_ino == os.stat(other).st_ino
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("[]\n")
+        path.chmod(0o600)
+        write_json({"a": 1}, path)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path):
+        old = os.umask(0o002)
+        try:
+            write_json({"a": 1}, tmp_path / "new.json")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode) == 0o664
+
+    def test_devnull(self):
+        write_json({"a": [1, 2, 3]}, os.devnull)
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+    def test_unencodable_payload_leaves_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json({"a": [1, 2, 3]}, path)
+        # the first key encodes; the set after it does not
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json({"a": list(range(50)), "b": {1, 2}}, path)
+        assert path.read_text() == json_text({"a": [1, 2, 3]})
+
+    def test_missing_directory_gives_the_error_of_open(self, tmp_path):
+        path = str(tmp_path / "nodir" / "out.json")
+        with pytest.raises(FileNotFoundError) as err:
+            write_json({}, path)
+        with pytest.raises(FileNotFoundError) as expected:
+            open(path, "w")
+        assert str(err.value) == str(expected.value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=20), min_size=1, max_size=5))
+    def test_file_holds_the_last_payload(self, tmp_path_factory, payloads):
+        path = tmp_path_factory.mktemp("writes") / "out.json"
+        for payload in payloads:
+            write_json(payload, path)
+        assert path.read_text(encoding="utf-8") == json_text(payloads[-1])
